@@ -6,7 +6,7 @@ reproductions, not micro-benchmarks) and writes the rendered artifact to
 ``results/`` so the repository keeps a copy of the regenerated tables.
 
 The A/B throughput benchmarks (decision loop, batched engine, service,
-distributed learning) share the same measurement discipline, so its
+fused learning) share the same measurement discipline, so its
 building blocks live here rather than being re-derived per file:
 
 - :func:`gc_paused` — drain the collector before and disable it during
@@ -73,21 +73,15 @@ def best_of(reps, run, elapsed=lambda r: r[1]):
 def host_provenance():
     """Host facts every frozen ``BENCH_*.json`` must carry.
 
-    ``host_cores`` is the distributed engine's own core count (CPU
-    affinity aware, so container quotas are respected) and ``pool_mode``
-    is the actor transport its ``mode="auto"`` would resolve to on this
-    host.  Ratio metrics divide machine speed out, but *which engine
-    path* produced a frozen number is not divisible away — a single-core
-    runner records inline-engine ratios that a multi-core reader would
-    otherwise misattribute to the process pool.
+    ``host_cores`` is the usable core count (CPU affinity aware, so
+    container quotas are respected).  Ratio metrics divide machine
+    speed out, but a parallelism claim recorded on a single-core host
+    means something different from one recorded on many cores, so the
+    frozen file says which it was.
     """
-    from repro.core.distributed import host_cores
+    from repro.runner.parallel import host_cores
 
-    cores = host_cores()
-    return {
-        "host_cores": cores,
-        "pool_mode": "pool" if cores > 1 else "inline",
-    }
+    return {"host_cores": host_cores()}
 
 
 def git_head():
@@ -103,7 +97,7 @@ def git_head():
 def learning_fingerprint(result):
     """Deterministic content of a LearningResult — no wall clock.
 
-    Two engine arms (serial vs batched, serial vs distributed) must
+    Two engine arms (serial vs batched, reference vs fused) must
     agree on this tuple bit for bit before their timing ratio counts.
     """
     return (

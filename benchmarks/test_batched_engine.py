@@ -1,4 +1,4 @@
-"""Batched-engine benchmark — lockstep lanes vs the per-cell sweep path.
+"""Batched-engine benchmark — shared-kernel lanes vs the per-cell sweep path.
 
 Times one fleet's Montage-50 (α, ε) sweep column two ways, both through
 the real consumer (:func:`repro.core.sweep.sweep_tasks` +
@@ -10,10 +10,10 @@ gap is exactly what ``repro sweep`` users get:
   episode loop (the PR 4 decision-loop fast path, with the per-worker
   kernel cache sharing one kernel build across cells);
 - **batched**: ``batch=len(cells)`` — one :func:`run_sweep_batch` task
-  packing every cell as a lockstep lane of
-  :func:`repro.core.batch.learn_batch`: per step, ready/idle scans,
-  action-pair interning, ε-greedy gathers and Q scatters run once per
-  *lane group* over shared caches instead of once per learner.
+  packing every cell as a lane of :func:`repro.core.batch.learn_batch`:
+  the lanes share one kernel and its content-addressed caches, and
+  each runs its episodes through the fused lane stepper instead of the
+  scheduler-hook episode loop.
 
 Equivalence gates every number: both arms run ``timing="simulated"``,
 so each cell's full record — Q-table JSON, per-episode makespans,
@@ -115,7 +115,7 @@ def _bench_json(episodes, reps, n_cells, serial_s, batched_s):
 def _render_note(episodes, reps, n_cells, serial_s, batched_s):
     total = n_cells * episodes
     return "\n".join([
-        "# Batched-engine throughput (lockstep lanes A/B)",
+        "# Batched-engine throughput (shared-kernel lanes A/B)",
         "",
         f"- host cores: {os.cpu_count() or 1}",
         f"- commit: {git_head()}",
@@ -124,7 +124,7 @@ def _render_note(episodes, reps, n_cells, serial_s, batched_s):
         f"{episodes} episodes (best of {reps})",
         f"- serial (batch=1, one learner per cell): {serial_s:.3f} s "
         f"({total / serial_s:.1f} eps/s)",
-        f"- batched (batch={n_cells}, lockstep lanes): {batched_s:.3f} s "
+        f"- batched (batch={n_cells}, shared-kernel lanes): {batched_s:.3f} s "
         f"({total / batched_s:.1f} eps/s)",
         f"- batched vs serial: {serial_s / batched_s:.2f}x",
         "",
@@ -132,11 +132,10 @@ def _render_note(episodes, reps, n_cells, serial_s, batched_s):
         "parallel runner at workers=1) with timing=\"simulated\", and",
         "every cell's record — Q-table JSON, per-episode makespans,",
         "plan, simulated learning time — was bit-identical across arms",
-        "before any throughput counted.  The speedup is the lockstep",
-        "dividend: per simulation step, the batched engine pays the",
-        "ready/idle scan, action-pair interning and Q gather/scatter",
-        "once per lane group over shared content-addressed caches,",
-        "instead of once per learner.",
+        "before any throughput counted.  The speedup comes from the",
+        "fused lane stepper (selection, reward and Q-update inlined",
+        "into the event loop) running each lane over one shared",
+        "kernel and its content-addressed caches.",
     ])
 
 

@@ -1,0 +1,182 @@
+"""Fused-learning benchmark — the fused lane stepper vs the reference learner.
+
+Times ReASSIgN learning on Montage-50 (16-vCPU Table-I fleet, paper
+parameters α=0.5, γ=1.0, ε=0.1, 100 episodes) two ways:
+
+- **reference**: ``ReassignLearner.learn()`` — the kernel event loop
+  consulting ``ReassignScheduler`` hooks, one episode at a time;
+- **fused**: ``learn_batch([spec])[0]`` — the same run as one lane of
+  the batched engine, whose fused stepper (:mod:`repro.core.lane`)
+  inlines the ε-greedy selection, the §III-B reward and the Eq.-3
+  update into the event loop.
+
+Equivalence gates every number: both arms must agree bit for bit on
+the deterministic :func:`~conftest.learning_fingerprint` (Q-table JSON,
+plan, per-episode records, simulated learning time) before any
+throughput counts.
+
+Both arms are single-threaded, so the ratio measures code, not cores;
+``host_cores`` is recorded anyway so a reader can tell hosts apart.
+
+Results go to ``results/fused_learning.md`` (prose) and
+``results/BENCH_fused_learning.json`` (machine-readable; the
+``fused_vs_reference_speedup`` ratio is frozen and guarded by
+``tools/bench_guard.py``).
+"""
+
+import json
+import os
+import time
+
+import pytest
+
+from repro.core.batch import BatchSpec, learn_batch
+from repro.core.reassign import ReassignLearner, ReassignParams
+from repro.experiments.environments import fleet_for
+from repro.runner.parallel import host_cores
+from repro.workflows.montage import montage
+
+from conftest import (
+    gc_paused,
+    git_head,
+    host_provenance,
+    learning_fingerprint,
+    save_artifact,
+)
+
+#: The paper protocol: Montage-50, 100 learning episodes.  Deliberately
+#: NOT scaled by REPRO_EPISODES: fresh CI values are only comparable to
+#: the frozen baseline at the frozen episode count.  The fast variant
+#: economizes via reps, not episodes.
+_EPISODES = 100
+
+
+def _params():
+    return ReassignParams(
+        alpha=0.5, gamma=1.0, epsilon=0.1, episodes=_EPISODES
+    )
+
+
+def _reference_arm(wf, fleet):
+    """One reference run; returns (result, wall seconds)."""
+    learner = ReassignLearner(wf, fleet, _params(), seed=1)
+    with gc_paused():
+        started = time.perf_counter()
+        result = learner.learn()
+        elapsed = time.perf_counter() - started
+    return result, elapsed
+
+
+def _fused_arm(wf, fleet):
+    """One fused run; returns (result, wall seconds)."""
+    spec = BatchSpec(workflow=wf, vms=fleet, params=_params(), seed=1)
+    with gc_paused():
+        started = time.perf_counter()
+        result = learn_batch([spec])[0]
+        elapsed = time.perf_counter() - started
+    return result, elapsed
+
+
+def _bench_json(reps, reference_s, fused_s):
+    payload = {
+        "benchmark": "fused_learning",
+        "workflow": "montage-50",
+        "vcpus": 16,
+        "episodes": _EPISODES,
+        "reps_best_of": reps,
+        **host_provenance(),
+        "commit": git_head(),
+        "reference_seconds": reference_s,
+        "reference_eps_per_sec": _EPISODES / reference_s,
+        "fused_seconds": fused_s,
+        "fused_eps_per_sec": _EPISODES / fused_s,
+        "fused_vs_reference_speedup": reference_s / fused_s,
+    }
+    return json.dumps(payload, indent=1, sort_keys=True)
+
+
+def _render_note(reps, reference_s, fused_s):
+    return "\n".join([
+        "# Fused learning throughput (fused lane stepper vs reference A/B)",
+        "",
+        f"- host cores: {host_cores()} (os.cpu_count {os.cpu_count()})",
+        f"- commit: {git_head()}",
+        "- workflow: Montage-50, 16-vCPU Table-I fleet, a=0.5 g=1.0 "
+        "e=0.1",
+        f"- episodes per arm: {_EPISODES} (interleaved best of {reps})",
+        f"- reference (ReassignLearner.learn): {reference_s:.3f} s "
+        f"({_EPISODES / reference_s:.1f} eps/s)",
+        f"- fused (learn_batch([spec])[0]): {fused_s:.3f} s "
+        f"({_EPISODES / fused_s:.1f} eps/s)",
+        f"- fused vs reference: {reference_s / fused_s:.2f}x",
+        "",
+        "Both arms produced bit-identical learning fingerprints",
+        "(Q-table JSON, plan, per-episode records, simulated learning",
+        "time) before any throughput counted.  Both arms run on one",
+        "core; the speedup is the fused stepper doing the reference",
+        "path's selection, reward and Q-update work inline, without",
+        "scheduler hook dispatch or per-step context objects.",
+    ])
+
+
+def _run_and_record(results_dir, reps):
+    wf = montage(50, seed=1)
+    fleet = fleet_for(16)
+    # warmup outside the timed reps (primes numpy, kernel caches)
+    _fused_arm(wf, fleet)
+    _reference_arm(wf, fleet)
+    # interleave the arms rep by rep: on a contended host a noise
+    # window then inflates both arms instead of landing entirely on
+    # one, so the best-of quotient stays a code measurement
+    reference_res, reference_s = _reference_arm(wf, fleet)
+    fused_res, fused_s = _fused_arm(wf, fleet)
+    for _ in range(reps - 1):
+        res, secs = _reference_arm(wf, fleet)
+        if secs < reference_s:
+            reference_res, reference_s = res, secs
+        res, secs = _fused_arm(wf, fleet)
+        if secs < fused_s:
+            fused_res, fused_s = res, secs
+    assert learning_fingerprint(fused_res) == learning_fingerprint(
+        reference_res
+    ), "fused stepper diverged from the reference learner — numbers void"
+    save_artifact(
+        results_dir,
+        "fused_learning.md",
+        _render_note(reps, reference_s, fused_s),
+    )
+    save_artifact(
+        results_dir,
+        "BENCH_fused_learning.json",
+        _bench_json(reps, reference_s, fused_s),
+    )
+    return reference_s, fused_s
+
+
+@pytest.mark.fast
+def test_fused_learning_fast(results_dir):
+    """CI A/B at the frozen protocol, single rep.
+
+    Runs the exact frozen-baseline protocol so the fresh
+    ``fused_vs_reference_speedup`` is comparable to the frozen one;
+    the single rep keeps it CI-sized.  The strict >=4x assertion
+    lives in the full variant — here the fused path must simply not be
+    slower, and the frozen-ratio regression check is
+    ``tools/bench_guard.py``'s job (fresh speedup >= 0.75 x frozen).
+    """
+    reference_s, fused_s = _run_and_record(results_dir, reps=1)
+    assert fused_s <= reference_s, (
+        f"fused stepper slower than the reference learner: "
+        f"{fused_s:.3f}s vs {reference_s:.3f}s"
+    )
+
+
+def test_fused_learning_full(results_dir):
+    """Full A/B, >=4x Montage-50 learning throughput enforced."""
+    reference_s, fused_s = _run_and_record(results_dir, reps=5)
+    speedup = reference_s / fused_s
+    assert speedup >= 4.0, (
+        f"expected >=4x over the reference learner: "
+        f"reference {reference_s:.3f}s, fused {fused_s:.3f}s "
+        f"({speedup:.2f}x)"
+    )

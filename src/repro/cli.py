@@ -87,57 +87,6 @@ def _batch_arg(value: str) -> int:
     return batch
 
 
-def _actors_arg(value: str) -> int:
-    """Parse/validate ``--actors``: a clean error instead of a traceback."""
-    try:
-        actors = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"actors must be an integer >= 1, got {value!r}"
-        )
-    if actors < 1:
-        raise argparse.ArgumentTypeError(f"actors must be >= 1, got {actors}")
-    return actors
-
-
-def _resolve_parallelism(parser: argparse.ArgumentParser, args) -> None:
-    """Validate the ``--actors`` / ``--batch`` / ``--workers`` interplay.
-
-    One place for every subcommand, so the rules (and the error wording)
-    cannot drift between ``learn``, ``sweep`` and ``ensemble``:
-
-    - ``--actors N`` and ``--batch B`` *compose*: with actors, B is the
-      number of chained episodes each actor rolls out per speculative
-      wave chunk (the distributed engine drives B lockstep lanes per
-      actor); without actors, B is the lockstep lane pack size.  Either
-      way, every (N, B) pair is bit-identical to the serial learner.
-    - ``--actors N`` (N > 1) and ``--workers W`` (W != 1) are mutually
-      exclusive where both exist: nesting the per-run actor pool inside
-      the per-run worker pool oversubscribes the host.
-
-    ``--batch`` parses with ``default=None`` so an *explicit* value can
-    be told apart from the per-command default (1 for ``learn``, 8 for
-    ``sweep``/``ensemble``); with ``--actors`` given, an unspecified
-    batch resolves to 1 (no speculation depth) instead of the default.
-    """
-    actors = getattr(args, "actors", None)
-    if hasattr(args, "batch") and args.batch is None:
-        if actors is not None and actors > 1:
-            args.batch = 1
-        else:
-            args.batch = 1 if args.command == "learn" else 8
-    if actors is None or actors == 1:
-        return
-    workers = getattr(args, "workers", 1)
-    if workers != 1:
-        parser.error(
-            f"--actors {actors} cannot be combined with --workers "
-            f"{workers}: the actor pool runs inside each learning run; "
-            "use --workers for many independent runs OR --actors for one "
-            "distributed run, not both"
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -167,23 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_batch_arg(p, what: str):
         p.add_argument(
-            "--batch", type=_batch_arg, default=None, metavar="B",
-            help=f"lockstep lanes per batched-engine task: up to B {what} "
-                 "advance through one shared simulation kernel per step; "
-                 "with --actors, B chained episodes per actor wave chunk "
-                 "instead (results are bit-identical for every B; 1 = the "
-                 "serial one-run-per-task path; default 8, or 1 with "
-                 "--actors)",
-        )
-
-    def add_actors_arg(p, what: str):
-        p.add_argument(
-            "--actors", type=_actors_arg, default=None, metavar="N",
-            help=f"distributed actor/learner engine: N speculative rollout "
-                 f"actors per {what} feed one ordered replay learner; "
-                 "composes with --batch B (B chained episodes per actor "
-                 "wave chunk; results are bit-identical for every N and B; "
-                 "mutually exclusive with --workers != 1)",
+            "--batch", type=_batch_arg, default=8, metavar="B",
+            help=f"lanes per batched-engine task: up to B {what} "
+                 "share one simulation kernel and run one after another "
+                 "(results are bit-identical for every B; 1 = the serial "
+                 "one-run-per-task path; default 8)",
         )
 
     p = sub.add_parser(
@@ -197,14 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--plan-out", metavar="PATH", help="write plan JSON here")
-    p.add_argument(
-        "--batch", type=_batch_arg, default=None, metavar="B",
-        help="batched-engine lane budget; a single learn run always "
-             "occupies one lane, and any B >= 1 yields bit-identical "
-             "results; with --actors, B chained episodes per actor wave "
-             "chunk (the flag mirrors sweep/ensemble; default 1)",
-    )
-    add_actors_arg(p, "run")
 
     p = sub.add_parser("pipeline", help="full SciCumulus-RL pipeline")
     add_workflow_args(p)
@@ -230,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="run the Tables II/III sweep on the batched lockstep engine "
+        help="run the Tables II/III sweep on the batched engine "
              "(optionally reduced)",
     )
     p.add_argument("--episodes", type=int, default=100)
@@ -245,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "simulated learning time")
     add_workers_arg(p)
     add_batch_arg(p, "grid cells")
-    add_actors_arg(p, "grid cell")
 
     p = sub.add_parser("ensemble",
                        help="learn plans for a workflow ensemble campaign")
@@ -257,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_workers_arg(p)
     add_batch_arg(p, "ensemble members")
-    add_actors_arg(p, "ensemble member")
 
     p = sub.add_parser(
         "serve",
@@ -340,37 +267,17 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    from repro.core.batch import BatchSpec, learn_batch
+
     wf = make_workflow(args.workflow, args.size, seed=args.seed)
     fleet = fleet_for(args.vcpus)
     params = ReassignParams(alpha=args.alpha, gamma=args.gamma,
                             epsilon=args.epsilon, episodes=args.episodes)
-    stats = None
-    if args.actors is not None:
-        from repro.core.distributed import learn_distributed
-
-        stats = {}
-        result = learn_distributed(
-            wf, fleet, params, seed=args.seed,
-            n_actors=args.actors, batch=args.batch, stats_out=stats,
-        )
-    else:
-        from repro.core.batch import BatchSpec, learn_batch
-
-        # one run = one lane of the batched engine (bit-identical to the
-        # serial ReassignLearner.learn() path for any --batch value)
-        spec = BatchSpec(workflow=wf, vms=fleet, params=params,
-                         seed=args.seed)
-        result = learn_batch([spec])[0]
+    # one run = one lane of the batched engine (bit-identical to the
+    # serial ReassignLearner.learn() path)
+    spec = BatchSpec(workflow=wf, vms=fleet, params=params, seed=args.seed)
+    result = learn_batch([spec])[0]
     print(f"learned {wf.name} on {args.vcpus} vCPUs [{params.label()}]")
-    if stats is not None:
-        rate = stats["speculative_hit_rate"]
-        spec = (
-            f", hit rate={rate:.2f}" if rate is not None
-            else ", no speculation"
-        )
-        print(f"actors            = {stats['n_actors']} "
-              f"(batch={stats['batch']}, mode={stats['mode']}, "
-              f"waves={stats['waves']}{spec})")
     print(f"learning time     = {result.learning_time:.2f}s "
           f"({result.n_episodes} episodes)")
     print(f"first episode     = {result.episodes[0].makespan:.2f}s")
@@ -450,7 +357,6 @@ def _cmd_sweep(args) -> int:
         timing=args.timing,
         progress=progress,
         batch=args.batch,
-        actors=args.actors or 1,
     )
     print()
     print(sweep.render_table2())
@@ -470,7 +376,6 @@ def _cmd_ensemble(args) -> int:
         seed=args.seed,
         workers=args.workers,
         batch=args.batch,
-        actors=args.actors or 1,
     )
     print(render_table(
         ["member", "workflow", "seed", "simulated makespan [s]"],
@@ -602,9 +507,7 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _resolve_parallelism(parser, args)
+    args = build_parser().parse_args(argv)
     return _COMMANDS[args.command](args)
 
 

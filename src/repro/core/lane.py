@@ -1,11 +1,9 @@
 """The fused episode stepper: one lane, one episode, zero indirection.
 
-This module is the reusable core of both batched engines: the lockstep
-batch engine (:mod:`repro.core.batch`) and the distributed
-actor/learner pipeline (:mod:`repro.core.distributed`) drive learning
-episodes through :func:`_drive_episode`, which fuses the event loop,
-the ε-greedy selection, the §III-B reward and the Eq.-3 Q-update into
-a single function over one :class:`_FastLane`.
+The batched engine (:mod:`repro.core.batch`) drives learning episodes
+through :func:`_drive_episode`, which fuses the event loop, the
+ε-greedy selection, the §III-B reward and the Eq.-3 Q-update into a
+single function over one :class:`_FastLane`.
 
 **Bit-identity contract (non-negotiable).**  Every float operation
 replicates ``EpisodeKernel.run_episode`` driving a
@@ -61,7 +59,6 @@ import numpy as np
 from repro.core.reassign import ReassignParams
 from repro.dag.activation import ActivationState
 from repro.rl.environment import AVAILABLE
-from repro.rl.qshard import ShardStore
 from repro.rl.qtable import QTable
 from repro.sim.events import Event, EventType
 from repro.sim.failures import NoFailures
@@ -73,7 +70,6 @@ from repro.sim.kernel import (
     SimulationError,
 )
 from repro.sim.metrics import ActivationRecord, SimulationResult
-from repro.sim.trace import TraceBuilder
 from repro.util.rng import RngService
 
 __all__ = [
@@ -107,7 +103,6 @@ _LEAN_SCALAR_LIMIT = 256
 def _drive_general(
     kernel: EpisodeKernel,
     lane: _FastLane,
-    trace: Optional[TraceBuilder],
     lite: bool,
 ) -> SimulationResult:
     """The general loop body (state already reset; handles every event).
@@ -169,7 +164,6 @@ def _drive_general(
         # RL locals (one lane: its own table, policy stream, reward)
         params = lane.params
         table = lane.qtable
-        store = lane.store
         rng_random = lane.rng.random
         rng_integers = lane.rng.integers
         exploit_p = lane.exploit_p
@@ -177,9 +171,6 @@ def _drive_general(
         gamma = params.gamma
         discount_power = params.discount_power
         sid = table._state_id(AVAILABLE)
-        # the whole episode writes through this one row: one era mark
-        # keeps delta snapshots (QTable.snapshot(since=...)) sound
-        table.mark_row_dirty(sid)
         slice_memo = table._action_slice
         # one-entry identity cache over slice_memo: the update's
         # next_pairs is usually the next selection's pairs (same
@@ -408,11 +399,7 @@ def _drive_general(
                             ):
                                 table._ensure_known(sid, aids)
                             ensured.add(sid)
-                        row = (
-                            store.q_row(sid)
-                            if store is not None
-                            else table._q[sid]
-                        )
+                        row = table._q[sid]
                         if len(id_list) < 32:
                             values_list = [row[a] for a in id_list]
                             cut = max(values_list) - 1e-15
@@ -438,7 +425,6 @@ def _drive_general(
                         i = int(rng_integers(len(pairs)))
                         action = pairs[i]
                         sel_aid = None
-                    act_pos = i
                     activation_id, vm_id = action
                     ac = ac_by_id[activation_id]
                     vm = vm_by_id[vm_id]
@@ -655,11 +641,7 @@ def _drive_general(
                             ):
                                 table._ensure_known(sid, aids)
                             ensured.add(sid)
-                        row = (
-                            store.q_row(sid)
-                            if store is not None
-                            else table._q[sid]
-                        )
+                        row = table._q[sid]
                         if len(id_list) < 32:
                             best = row[id_list[0]]
                             for a in id_list[1:]:
@@ -671,15 +653,10 @@ def _drive_general(
                             future = float(row.take(aids).max())
                     else:
                         future = 0.0
-                    explored = sel_aid is None
                     if sel_aid is None:
                         sel_aid = table._action_id(action)
-                    if store is not None:
-                        known_row = store.known_row(sid)
-                        qrow = store.q_row(sid)
-                    else:
-                        known_row = table._known[sid]
-                        qrow = table._q[sid]
+                    known_row = table._known[sid]
+                    qrow = table._q[sid]
                     if known_row[sel_aid]:
                         q_sa = float(qrow[sel_aid])
                     else:
@@ -692,12 +669,6 @@ def _drive_general(
                     delta = r_t + gamma_t * future - q_sa
                     q_new = q_sa + float(alpha * delta)
                     qrow[sel_aid] = q_new
-                    if trace is not None:
-                        trace.append(
-                            pairs, action, act_pos, explored, te, tf,
-                            next_pairs, state._n_finished, r_t, q_new,
-                            table._version,
-                        )
                     t_rl += 1
                     steps += 1
             elif etype is _VM_READY:
@@ -755,8 +726,8 @@ def fast_lane_eligible(params: ReassignParams) -> bool:
     """Whether the fused fast path covers these hyper-parameters.
 
     The fast path replicates the paper's rule exactly: plain Q-learning
-    over the single aggregated "available" state, on a dense (array or
-    shard) Q-table backend.  Everything else — SARSA's deferred update,
+    over the single aggregated "available" state, on the dense (array)
+    Q-table backend.  Everything else — SARSA's deferred update,
     double-Q's coin stream, progress buckets, the sparse dict backend —
     runs through the real ``ReassignScheduler`` instead (bit-identical
     either way; only the throughput differs).
@@ -764,7 +735,7 @@ def fast_lane_eligible(params: ReassignParams) -> bool:
     return (
         params.rule == "qlearning"
         and params.state_buckets == 1
-        and params.qtable_backend in ("array", "shard")
+        and params.qtable_backend == "array"
     )
 
 
@@ -779,7 +750,7 @@ class _FastLane:
     """
 
     __slots__ = (
-        "params", "qtable", "store", "rng", "exploit_p", "keep_history",
+        "params", "qtable", "rng", "exploit_p", "keep_history",
         "t", "steps", "reward_sum", "mu", "rho", "pos", "exec_n",
         "exec_mean", "queue_n", "queue_mean", "index", "g_exec_n",
         "g_exec_mean", "g_queue_n", "g_queue_mean", "reward",
@@ -788,7 +759,6 @@ class _FastLane:
 
     params: ReassignParams
     qtable: QTable
-    store: Optional[ShardStore]
     rng: np.random.Generator
     exploit_p: float
     keep_history: bool
@@ -811,9 +781,8 @@ class _FastLane:
     #: id(pairs-tuple) → ``[pairs, id_list, ids_array|None, ensured]``
     #: — the lean loop's cross-episode action-slice cache.  Entries pin
     #: their pairs tuple (slot 0), so the id key can never be reused
-    #: while the entry lives.  Valid only while the table's action
-    #: interning grows monotonically: any ``QTable.restore()`` rollback
-    #: MUST clear it (``_fused_restore`` does).
+    #: while the entry lives.  Valid because the table's action
+    #: interning only ever grows.
     pairs_memo: Dict[int, List[Any]]
 
     def __init__(self, params: ReassignParams, seed: int) -> None:
@@ -822,11 +791,6 @@ class _FastLane:
             init_scale=params.qtable_init_scale,
             seed=seed,
             backend=params.qtable_backend,
-        )
-        self.store = (
-            self.qtable._store
-            if params.qtable_backend == "shard"
-            else None
         )
         # deliberately the SAME stream as ReassignScheduler: the fast
         # path must replay its exact draws (bit-identity contract)
@@ -912,7 +876,6 @@ def _drive_episode(
     kernel: EpisodeKernel,
     lane: _FastLane,
     seed: int,
-    trace: Optional[TraceBuilder] = None,
     lite: bool = False,
 ) -> EpisodeOutcome:
     """One fully-inlined learning episode on the fast path.
@@ -922,11 +885,6 @@ def _drive_episode(
     body otherwise — both bit-identical to ``EpisodeKernel.run_episode``
     driving a ``ReassignScheduler`` (see the module docstring).
 
-    When ``trace`` is a :class:`~repro.sim.trace.TraceBuilder`, one
-    decision per step is appended to it (the distributed learner's
-    rollout actors pass a fresh builder per episode).  Tracing is
-    purely observational: it reads values the loop already computed and
-    never draws, so traced and untraced episodes are bit-identical.
     ``lite=True`` skips per-activation record construction (see
     :class:`_LiteResult`).
     """
@@ -935,17 +893,16 @@ def _drive_episode(
         state.reset_fast()
         lane.start_episode()
         if kernel._shared_staging and not state.queue._heap:
-            return _drive_lean(kernel, lane, trace, lite)
+            return _drive_lean(kernel, lane, lite)
     else:
         state.reset(int(seed))
         lane.start_episode()
-    return _drive_general(kernel, lane, trace, lite)
+    return _drive_general(kernel, lane, lite)
 
 
 def _drive_lean(
     kernel: EpisodeKernel,
     lane: _FastLane,
-    trace: Optional[TraceBuilder],
     lite: bool,
 ) -> EpisodeOutcome:
     """The specialized loop body (state already reset; see module doc).
@@ -993,7 +950,6 @@ def _drive_lean(
     # RL locals (one lane: its own table, policy stream, reward)
     params = lane.params
     table = lane.qtable
-    store = lane.store
     rng_random = lane.rng.random
     rng_integers = lane.rng.integers
     exploit_p = lane.exploit_p
@@ -1001,13 +957,10 @@ def _drive_lean(
     gamma = params.gamma
     discount_power = params.discount_power
     sid = table._state_id(AVAILABLE)
-    # the whole episode writes through this one row: one era mark
-    # keeps delta snapshots (QTable.snapshot(since=...)) sound
-    table.mark_row_dirty(sid)
     aget = table._action_ids.get
     action_id = table._action_id
     ensure_known = table._ensure_known
-    # lane-persistent action-slice cache (invalidated on restore());
+    # the lane's action-slice cache, kept across episodes;
     # entry: [pairs, id_list, ids_array|None, ensured].  Building an
     # id_list registers unseen actions left-to-right — the exact
     # first-touch order of QTable._action_slice — and never draws.
@@ -1016,7 +969,6 @@ def _drive_lean(
     t_rl = 1
     steps = 0
     reward_sum = 0.0
-    tversion = table._version
 
     # Python-float mirror of the single Q-row: scalar reductions read
     # plain floats (same IEEE doubles as the numpy cells), resynced
@@ -1026,12 +978,8 @@ def _drive_lean(
     single_state = len(table._states) == 1
     nk_seen = table._n_known
     na_seen = len(table._actions)
-    if store is not None:
-        qrow = store.q_row(sid)
-        known_row = store.known_row(sid)
-    else:
-        qrow = table._q[sid]
-        known_row = table._known[sid]
+    qrow = table._q[sid]
+    known_row = table._known[sid]
     row_list: List[float] = qrow.tolist()
     row_get = row_list.__getitem__
     known_list: List[bool] = known_row.tolist()
@@ -1129,12 +1077,8 @@ def _drive_lean(
                         ):
                             nk_seen = table._n_known
                             na_seen = len(table._actions)
-                            if store is not None:
-                                qrow = store.q_row(sid)
-                                known_row = store.known_row(sid)
-                            else:
-                                qrow = table._q[sid]
-                                known_row = table._known[sid]
+                            qrow = table._q[sid]
+                            known_row = table._known[sid]
                             row_list = qrow.tolist()
                             row_get = row_list.__getitem__
                             known_list = known_row.tolist()
@@ -1150,12 +1094,8 @@ def _drive_lean(
                             ensure_known(sid, ids)
                             nk_seen = table._n_known
                             na_seen = len(table._actions)
-                            if store is not None:
-                                qrow = store.q_row(sid)
-                                known_row = store.known_row(sid)
-                            else:
-                                qrow = table._q[sid]
-                                known_row = table._known[sid]
+                            qrow = table._q[sid]
+                            known_row = table._known[sid]
                             row_list = qrow.tolist()
                             row_get = row_list.__getitem__
                             known_list = known_row.tolist()
@@ -1329,12 +1269,8 @@ def _drive_lean(
                         ):
                             nk_seen = table._n_known
                             na_seen = len(table._actions)
-                            if store is not None:
-                                qrow = store.q_row(sid)
-                                known_row = store.known_row(sid)
-                            else:
-                                qrow = table._q[sid]
-                                known_row = table._known[sid]
+                            qrow = table._q[sid]
+                            known_row = table._known[sid]
                             row_list = qrow.tolist()
                             row_get = row_list.__getitem__
                             known_list = known_row.tolist()
@@ -1350,12 +1286,8 @@ def _drive_lean(
                             ensure_known(sid, ids)
                             nk_seen = table._n_known
                             na_seen = len(table._actions)
-                            if store is not None:
-                                qrow = store.q_row(sid)
-                                known_row = store.known_row(sid)
-                            else:
-                                qrow = table._q[sid]
-                                known_row = table._known[sid]
+                            qrow = table._q[sid]
+                            known_row = table._known[sid]
                             row_list = qrow.tolist()
                             row_get = row_list.__getitem__
                             known_list = known_row.tolist()
@@ -1375,7 +1307,6 @@ def _drive_lean(
                         future = float(qrow.take(ids).max())
                 else:
                     future = 0.0
-                explored = sel_aid is None
                 if sel_aid is None:
                     sel_aid = table._action_id(action)
                     if (
@@ -1384,12 +1315,8 @@ def _drive_lean(
                     ):
                         nk_seen = table._n_known
                         na_seen = len(table._actions)
-                        if store is not None:
-                            qrow = store.q_row(sid)
-                            known_row = store.known_row(sid)
-                        else:
-                            qrow = table._q[sid]
-                            known_row = table._known[sid]
+                        qrow = table._q[sid]
+                        known_row = table._known[sid]
                         row_list = qrow.tolist()
                         row_get = row_list.__getitem__
                         known_list = known_row.tolist()
@@ -1414,11 +1341,6 @@ def _drive_lean(
                 q_new = q_sa + alpha * delta
                 qrow[sel_aid] = q_new
                 row_list[sel_aid] = q_new
-                if trace is not None:
-                    trace.append(
-                        pairs, action, ipos, explored, te, tf,
-                        next_pairs, n_finished, r_t, q_new, tversion,
-                    )
                 t_rl += 1
                 steps += 1
 

@@ -126,12 +126,10 @@ class ReassignParams:
     #: reward responsive — mitigates the stale-history lock-in that
     #: degrades late episodes on some workloads; see EXPERIMENTS.md)
     reward_memory: str = "full"
-    #: Q-table storage backend: "array" (interned dense fast path),
-    #: "shard" (sharded, optionally memmap-backed dense storage — see
-    #: repro.rl.qshard) or "dict" (legacy sparse table).  Bit-identical
-    #: results in all three; the dict path is kept as an escape hatch
-    #: and as the reference the equivalence suite checks against (see
-    #: docs/performance.md).
+    #: Q-table storage backend: "array" (interned dense fast path) or
+    #: "dict" (legacy sparse table).  Bit-identical results in both;
+    #: the dict path is kept as an escape hatch and as the reference
+    #: the equivalence suite checks against (see docs/performance.md).
     qtable_backend: str = "array"
 
     def __post_init__(self) -> None:
@@ -154,9 +152,9 @@ class ReassignParams:
             raise ValidationError(
                 f"reward_memory must be full/episode, got {self.reward_memory!r}"
             )
-        if self.qtable_backend not in ("array", "dict", "shard"):
+        if self.qtable_backend not in ("array", "dict"):
             raise ValidationError(
-                f"qtable_backend must be array/dict/shard, "
+                f"qtable_backend must be array/dict, "
                 f"got {self.qtable_backend!r}"
             )
 

@@ -104,7 +104,6 @@ def run_paper_sweep(
     timing: str = "wall",
     progress=None,
     batch: int = 8,
-    actors: int = 1,
 ) -> PaperSweep:
     """Execute the Tables II/III sweep.
 
@@ -115,19 +114,12 @@ def run_paper_sweep(
     as **one** :class:`~repro.runner.ParallelRunner` batch so ``workers``
     parallelism spans fleets, not just one fleet's column.  ``batch``
     (default 8) packs that many consecutive cells per task into the
-    batched lockstep engine (:func:`repro.core.batch.learn_batch`) —
+    batched engine (:func:`repro.core.batch.learn_batch`) —
     pass ``batch=1`` for the historical one-cell-per-task path.  Every
     cell runs Algorithm 2 from the sweep's root seed, so the resulting
     records — and the rendered Tables II/III, when ``timing`` is
     ``"simulated"`` — are bit-identical for any worker count and batch
     size.
-
-    ``actors`` (default 1) instead spends the parallelism *inside* each
-    cell through the distributed actor/learner engine
-    (:func:`repro.core.distributed.learn_distributed`); still
-    bit-identical, and it composes with ``batch``: each actor then rolls
-    out ``batch`` chained episodes per speculative wave chunk.  Meant
-    for ``workers=1`` (nesting both pools oversubscribes the host).
     """
     wf = workflow if workflow is not None else montage(50, seed=seed)
     sweep = PaperSweep(workflow_name=wf.name, episodes=episodes, grid=tuple(grid))
@@ -147,7 +139,6 @@ def run_paper_sweep(
             timing=timing,
             key_prefix=(vcpus,),
             batch=batch,
-            actors=actors,
         )
         tasks.extend(fleet_tasks)
         fleet_task_counts.append(len(fleet_tasks))

@@ -15,6 +15,7 @@ differs**.  Three layers of evidence:
   building each distinct kernel once.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.reassign import ReassignLearner, ReassignParams
@@ -24,6 +25,7 @@ from repro.rl import QTable
 from repro.runner import ParallelRunner
 from repro.runner.parallel import clear_kernel_cache, kernel_cache_stats
 from repro.util.rng import RngService
+from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
 # (op, state index, action index, value) — indices keep the key space
@@ -108,6 +110,38 @@ class TestLearnerBackendEquivalence:
         ]
         assert fast.plan.to_json() == plain.plan.to_json()
         assert fast.simulated_makespan == plain.simulated_makespan
+
+
+class TestBackendValidationAndStats:
+    def test_unknown_backend_lists_allowed_sorted(self):
+        with pytest.raises(
+            ValidationError,
+            match=r"backend must be one of 'array', 'dict', got 'rocksdb'",
+        ):
+            QTable(backend="rocksdb")
+
+    def test_shard_backend_is_rejected(self):
+        with pytest.raises(ValidationError, match="'shard'"):
+            QTable(backend="shard")
+        with pytest.raises(ValidationError, match="'shard'"):
+            ReassignParams(qtable_backend="shard")
+
+    def test_stats_counts_and_bytes(self):
+        table = QTable(backend="array")
+        table.set("s0", (0, 1), 1.0)
+        table.set("s0", (1, 2), 2.0)
+        table.set("s1", (0, 1), 3.0)
+        stats = table.stats()
+        assert stats["backend"] == "array"
+        assert stats["n_states"] == 2
+        assert stats["n_actions"] == 2
+        assert stats["n_known"] == 3
+        assert stats["nbytes"] > 0
+
+    def test_stats_dict_backend_has_no_dense_bytes(self):
+        table = QTable(backend="dict")
+        table.set("s", (0, 1), 1.0)
+        assert table.stats()["nbytes"] is None
 
 
 def _cell_fingerprints(records):

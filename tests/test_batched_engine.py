@@ -1,37 +1,35 @@
-"""Batched lockstep engine: bit-identical to the serial decision loop.
+"""Batched engine: bit-identical to the serial decision loop.
 
-``repro.core.batch.learn_batch`` drives B learning lanes through one
-shared simulation kernel — pure performance work, so the PR-level
-contract is byte-equality against ``ReassignLearner.learn()``:
+``repro.core.batch.learn_batch`` drives B learning lanes over one
+shared simulation kernel — pure performance work, so the contract is
+byte-equality against ``ReassignLearner.learn()``:
 
 - a Hypothesis property learns random layered DAGs batched and serial
   and demands identical ``LearningResult.to_json()``;
-- directed tests sweep the batch width over B ∈ {1, 2, 7, 32}, cover
-  the shard backend, ineligible-lane fallbacks (SARSA / Double-Q /
-  bucketed states) mixed into one batch, and the sweep fingerprint
-  across worker counts and batch sizes;
-- the vectorized RL primitives (``gather``/``scatter``,
-  ``choose_batch``, ``update_batch``) are each pinned against their
-  scalar counterparts;
+- directed tests sweep the batch width over B ∈ {1, 2, 7, 32}, run the
+  fused general loop body under activation failures with retries,
+  cover ineligible-lane fallbacks (SARSA / Double-Q / bucketed states)
+  mixed into one batch, and the sweep fingerprint across worker counts
+  and batch sizes;
 - ``adopt_kernel``'s safety rails reject double adoption and
   mismatched kernel configurations.
 """
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import BatchSpec, fast_lane_eligible, learn_batch
-from repro.core.reassign import ReassignLearner, ReassignParams
+from repro.core.reassign import (
+    ReassignLearner,
+    ReassignParams,
+    SimulatedLearningClock,
+)
 from repro.dag.activation import Activation
 from repro.dag.graph import Workflow
 from repro.experiments.environments import fleet_for
-from repro.rl import QTable
-from repro.rl.policy import EpsilonGreedyPolicy
-from repro.rl.qlearning import QLearningAgent
-from repro.util.rng import RngService
+from repro.sim.failures import BernoulliFailures
 from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
@@ -111,15 +109,37 @@ class TestBatchedVsSerial:
         for spec, got in zip(specs, batched):
             assert _fp(got) == _fp(_serial(spec))
 
-    def test_shard_backend_lane_bitwise_equal(self):
-        wf = montage(25, seed=2)
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_failures_and_retries_bitwise_identical(self, width):
+        # failures make the kernel draw, so every lane runs the fused
+        # general loop body (retries, failed attempts, stream resets)
+        wf = montage(15, seed=3)
+        failures = BernoulliFailures(0.05)
         specs = [
-            _spec(wf, 5, qtable_backend="shard"),
-            _spec(wf, 5, qtable_backend="array"),
+            BatchSpec(
+                workflow=wf,
+                vms=fleet_for(16),
+                params=ReassignParams(
+                    alpha=0.5, gamma=1.0, epsilon=0.1, episodes=6
+                ),
+                seed=11 + k,
+                failures=failures,
+                max_attempts=2,
+            )
+            for k in range(width)
         ]
-        shard_lane, array_lane = learn_batch(specs)
-        assert shard_lane.qtable_json == array_lane.qtable_json
-        assert _fp(shard_lane) == _fp(_serial(specs[0]))
+        batched = learn_batch(specs, timing="simulated")
+        for spec, got in zip(specs, batched):
+            expected = ReassignLearner(
+                spec.workflow,
+                spec.vms,
+                spec.params,
+                seed=spec.seed,
+                failures=failures,
+                max_attempts=2,
+                clock=SimulatedLearningClock(),
+            ).learn()
+            assert got.to_json() == expected.to_json()
 
     def test_ineligible_lanes_fall_back_and_still_match(self):
         wf = random_dag(42, n_min=5, n_max=8)
@@ -138,8 +158,6 @@ class TestBatchedVsSerial:
             assert _fp(got) == _fp(_serial(spec))
 
     def test_simulated_timing_matches_serial_clock(self):
-        from repro.core.reassign import SimulatedLearningClock
-
         wf = montage(25, seed=3)
         spec = _spec(wf, 9)
         batched = learn_batch([spec], timing="simulated")[0]
@@ -185,89 +203,6 @@ class TestSweepFingerprints:
         assert fingerprint(self._sweep(workers=1, batch=8)) == base
         assert fingerprint(self._sweep(workers=4, batch=8)) == base
         assert fingerprint(self._sweep(workers=4, batch=3)) == base
-
-
-class TestVectorizedPrimitives:
-    def test_gather_matches_scalar_values(self):
-        batched = QTable(init_scale=1e-3, seed=11)
-        scalar = QTable(init_scale=1e-3, seed=11)
-        actions = [(k, k + 1) for k in range(6)]
-        got = batched.gather("s", actions)
-        want = np.array([scalar.value("s", a) for a in actions])
-        assert np.array_equal(got, want)
-        # repeat gathers read, never re-draw
-        assert np.array_equal(batched.gather("s", actions), want)
-
-    def test_scatter_matches_scalar_sets(self):
-        batched = QTable(seed=1)
-        scalar = QTable(seed=1)
-        actions = [(0, 1), (1, 2), (2, 3)]
-        values = np.array([1.5, -2.0, 0.25])
-        batched.scatter("s", actions, values)
-        for a, v in zip(actions, values):
-            scalar.set("s", a, float(v))
-        assert batched.to_json() == scalar.to_json()
-        assert len(batched) == len(scalar)
-
-    def test_scatter_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="one value per action"):
-            QTable().scatter("s", [(0, 1)], np.zeros(2))
-
-    def test_choose_batch_matches_scalar_choose(self):
-        policy = EpsilonGreedyPolicy(0.3)
-        tables_b = [QTable(seed=k) for k in range(3)]
-        tables_s = [QTable(seed=k) for k in range(3)]
-        batches = [[(k, k + 1) for k in range(n)] for n in (4, 0, 2)]
-        rngs_b = [RngService(k).stream("pick") for k in range(3)]
-        rngs_s = [RngService(k).stream("pick") for k in range(3)]
-        got = policy.choose_batch(tables_b, "s", batches, rngs_b)
-        want = [
-            policy.choose(t, "s", acts, r) if acts else None
-            for t, acts, r in zip(tables_s, batches, rngs_s)
-        ]
-        assert got == want
-        assert got[1] is None  # empty lane -> "do nothing"
-
-    def test_choose_batch_shape_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="per lane"):
-            EpsilonGreedyPolicy(0.1).choose_batch(
-                [QTable()], "s", [[], []], [RngService(0).stream("x")]
-            )
-
-    def test_update_batch_matches_sequential_updates(self):
-        def transitions():
-            return [
-                ("s0", (0, 1), 1.0, "s1", [(0, 1), (1, 2)], 1),
-                ("s1", (1, 2), -0.5, "s2", [(2, 3)], 2),
-                ("s2", (2, 3), 0.25, "s3", [], 3),
-            ]
-
-        fused = QLearningAgent(alpha=0.5, gamma=0.9, seed=3)
-        sequential = QLearningAgent(alpha=0.5, gamma=0.9, seed=3)
-        got = fused.update_batch(transitions())
-        want = np.array(
-            [sequential.update(*tr) for tr in transitions()]
-        )
-        assert np.array_equal(got, want)
-        assert fused.qtable.to_json() == sequential.qtable.to_json()
-
-    def test_update_batch_read_after_write_stays_sequential(self):
-        # second transition bootstraps from the first one's write target,
-        # which must force the exact sequential path
-        def transitions():
-            return [
-                ("s0", (0, 1), 1.0, "s1", [(0, 1)], 1),
-                ("s1", (0, 1), 0.5, "s0", [(0, 1)], 2),
-            ]
-
-        fused = QLearningAgent(alpha=1.0, gamma=1.0, seed=6)
-        sequential = QLearningAgent(alpha=1.0, gamma=1.0, seed=6)
-        got = fused.update_batch(transitions())
-        want = np.array(
-            [sequential.update(*tr) for tr in transitions()]
-        )
-        assert np.array_equal(got, want)
-        assert fused.qtable.to_json() == sequential.qtable.to_json()
 
 
 class TestAdoptKernel:
@@ -327,9 +262,13 @@ class TestCliBatchFlag:
     def test_help_describes_batched_execution(self, capsys):
         from repro.cli import build_parser
 
-        for command in ("learn", "sweep", "ensemble"):
+        for command in ("sweep", "ensemble"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--help"])
             out = capsys.readouterr().out
             assert "--batch" in out
             assert "lane" in out
+        # a single learn run is always one lane: no --batch to tune
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["learn", "--help"])
+        assert "--batch" not in capsys.readouterr().out

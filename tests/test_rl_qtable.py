@@ -1,5 +1,7 @@
 """Tests for repro.rl.qtable."""
 
+import pickle
+
 import pytest
 
 from repro.rl import QTable
@@ -102,3 +104,13 @@ class TestPersistence:
         c = t.copy()
         c.set("s", "a", 5.0)
         assert t.value("s", "a") == 1.0
+
+    def test_pickle_roundtrip_drops_id_memo(self):
+        table = QTable(seed=1)
+        table.set("s0", (0, 1), 2.0)
+        table.max_value("s0", ((0, 1),))  # warms the id-keyed memo
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone.to_json() == table.to_json()
+        assert clone._id_memo == {}
+        # the clone's init stream continues where the original's would
+        assert clone.value("sX", (5, 5)) == table.value("sX", (5, 5))

@@ -12,6 +12,7 @@ from repro.runner import (
     resolve_workers,
     task_seed,
 )
+from repro.runner.parallel import host_cores
 from repro.util.validate import ValidationError
 
 
@@ -74,14 +75,28 @@ class TestResolveWorkers:
         assert resolve_workers(1) == 1
 
     def test_zero_means_all_cores(self):
-        assert resolve_workers(0) == (os.cpu_count() or 1)
-        assert resolve_workers(-1) == (os.cpu_count() or 1)
+        assert resolve_workers(0) == host_cores()
+        assert resolve_workers(-1) == host_cores()
+
+    def test_zero_respects_cpu_affinity(self, monkeypatch):
+        # under taskset or a cpuset the affinity mask, not the machine's
+        # core count, bounds the pool: one usable core -> one worker
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert host_cores() == 1
+        assert resolve_workers(0) == 1
 
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert resolve_workers(None) == 1
         monkeypatch.setenv("REPRO_WORKERS", "6")
         assert resolve_workers(None) == 6
+
+    def test_env_non_integer_is_a_validation_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        with pytest.raises(ValidationError, match="REPRO_WORKERS"):
+            resolve_workers(None)
 
 
 class TestSerialRunner:
@@ -181,6 +196,25 @@ class TestPoolRunner:
         with pytest.raises(ValidationError):
             ParallelRunner(workers=1, chunk_size=0)
 
+    def test_ephemeral_pool_forgets_between_runs(self):
+        """Each run's fresh workers rebuild their kernel caches.
+
+        (``workers=1`` is the in-process serial path, where the
+        parent's cache trivially survives — the check needs a real
+        pool.)
+        """
+        fp = "pool-probe-forget"
+        runner = ParallelRunner(workers=2, run_id="pe", seed=0)
+        first = runner.run(
+            [Task(key="k0", fn=kernel_probe, payload=fp)]
+        )[0].value
+        second = runner.run(
+            [Task(key="k1", fn=kernel_probe, payload=fp)]
+        )[0].value
+        # both runs start workers from the same parent image: identical
+        # counters, no hits carried over from the first run's build
+        assert first[1:] == second[1:]
+
 
 def kernel_probe(payload, seed):
     """Build-or-hit a worker-cached kernel; report this process's view.
@@ -193,84 +227,3 @@ def kernel_probe(payload, seed):
     shared_kernel(payload, object)
     stats = kernel_cache_stats()
     return (os.getpid(), stats["builds"], stats["hits"])
-
-
-class TestPersistentPool:
-    def test_kernel_cache_survives_across_runs(self):
-        """The satellite contract: one worker, one build, then hits.
-
-        With ``persistent=True`` even ``workers=1`` runs through a real
-        one-process pool, and that process — with its module-global
-        kernel cache — survives between ``run()`` calls.
-        """
-        fp = "persist-probe-survive"
-        with ParallelRunner(
-            workers=1, run_id="pp", seed=0, persistent=True
-        ) as runner:
-            first = runner.run(
-                [Task(key="k0", fn=kernel_probe, payload=fp)]
-            )[0].value
-            second = runner.run(
-                [Task(key="k1", fn=kernel_probe, payload=fp)]
-            )[0].value
-        pid1, builds1, hits1 = first
-        pid2, builds2, hits2 = second
-        assert pid1 == pid2, "persistent pool recycled its worker"
-        assert pid1 != os.getpid(), "persistent workers=1 must be a pool"
-        assert builds2 == builds1, "kernel rebuilt despite the live cache"
-        assert hits2 == hits1 + 1
-
-    def test_ephemeral_pool_forgets_between_runs(self):
-        """Without persistence each run's fresh worker rebuilds.
-
-        (``workers=1`` without persistence is the in-process serial
-        path, where the parent's cache trivially survives — the
-        contrast needs a real throwaway pool.)
-        """
-        fp = "persist-probe-forget"
-        runner = ParallelRunner(workers=2, run_id="pe", seed=0)
-        first = runner.run(
-            [Task(key="k0", fn=kernel_probe, payload=fp)]
-        )[0].value
-        second = runner.run(
-            [Task(key="k1", fn=kernel_probe, payload=fp)]
-        )[0].value
-        # both runs start workers from the same parent image: identical
-        # counters, no accumulated hits (contrast with the persistent
-        # test above, where the second run hits the first run's build)
-        assert first[1:] == second[1:]
-
-    def test_matches_ephemeral_bitwise(self):
-        tasks = tasks_of(8)
-        with ParallelRunner(
-            workers=2, run_id="q", seed=5, persistent=True
-        ) as persistent_runner:
-            persistent = persistent_runner.run(tasks)
-        ephemeral = ParallelRunner(workers=2, run_id="q", seed=5).run(tasks)
-        assert [(r.key, r.index, r.value, r.seed) for r in persistent] == [
-            (r.key, r.index, r.value, r.seed) for r in ephemeral
-        ]
-
-    def test_context_manager_shuts_down(self):
-        with ParallelRunner(workers=2, persistent=True) as runner:
-            runner.run(tasks_of(3))
-            assert runner._executor is not None
-        assert runner._executor is None
-
-    def test_reusable_after_close(self):
-        runner = ParallelRunner(workers=2, run_id="rc", seed=1,
-                                persistent=True)
-        a = runner.run(tasks_of(3))
-        runner.close()
-        runner.close()  # idempotent
-        b = runner.run(tasks_of(3))  # lazily restarts a fresh pool
-        runner.close()
-        assert [(r.key, r.value, r.seed) for r in a] == [
-            (r.key, r.value, r.seed) for r in b
-        ]
-
-    def test_repr_flags_persistence(self):
-        assert "persistent=True" in repr(
-            ParallelRunner(workers=2, persistent=True)
-        )
-        assert "persistent" not in repr(ParallelRunner(workers=2))

@@ -53,36 +53,26 @@ GUARDED: Dict[str, List[str]] = {
     # Warm (cache replay) vs cold (full parse) analyzer run, same
     # process/host (see benchmarks/test_reprolint_throughput.py).
     "results/BENCH_reprolint_throughput.json": ["warm_vs_cold_ratio"],
-    # Lockstep-lane sweep vs the per-cell path, both arms in the same
+    # Batched-lane sweep vs the per-cell path, both arms in the same
     # process at the frozen paper-scale protocol (see
     # benchmarks/test_batched_engine.py).
     "results/BENCH_batched_engine.json": ["batched_vs_serial_speedup"],
-    # Distributed actor/learner engine vs the serial learner, both arms
-    # equivalence-gated in the same process at the frozen Montage-50
-    # protocol (see benchmarks/test_distributed_learning.py).
-    "results/BENCH_distributed_learning.json": [
-        "distributed_vs_serial_speedup"
-    ],
-    # Chunked wave protocol (batch=8) vs one-episode waves (batch=1),
-    # same actor count and pool transport, equivalence-gated (see
-    # benchmarks/test_batched_actors.py).
-    "results/BENCH_batched_actors.json": [
-        "fused_wave_vs_single_speedup"
-    ],
+    # Fused lane stepper (learn_batch([spec])[0]) vs the reference
+    # learner, both arms equivalence-gated in the same process at the
+    # frozen Montage-50 protocol (see benchmarks/test_fused_learning.py).
+    "results/BENCH_fused_learning.json": ["fused_vs_reference_speedup"],
 }
 
 
 def _host_note(payload: dict) -> str:
-    """``<cores>c/<pool mode>`` from a BENCH payload ('?' when absent).
+    """``<cores>c`` from a BENCH payload (``?c`` when absent).
 
-    Older frozen baselines predate the ``host_cores``/``pool_mode``
-    provenance keys (benchmarks/conftest.py ``host_provenance``), so
-    both fields degrade to ``?`` instead of failing the guard.
+    Older frozen baselines predate the ``host_cores`` provenance key
+    (benchmarks/conftest.py ``host_provenance``), so the field degrades
+    to ``?`` instead of failing the guard.
     """
     cores = payload.get("host_cores")
-    mode = payload.get("pool_mode")
-    return (f"{cores}c" if cores is not None else "?c") + \
-        "/" + (mode if mode is not None else "?")
+    return f"{cores}c" if cores is not None else "?c"
 
 
 def _frozen(path: str, ref: str) -> Optional[dict]:
@@ -132,10 +122,9 @@ def check(tolerance: float, ref: str) -> int:
     if rows:
         # one line per guarded ratio, markdown-friendly for CI job
         # summaries: metric | fresh | frozen | fresh/frozen | verdict |
-        # host.  The host column shows "<cores>c/<pool mode>" for the
-        # fresh and frozen recordings — a ratio measured by the inline
-        # engine on a 1-core runner is not directly comparable to one
-        # the process pool produced, and the table should say so.
+        # host.  The host column shows "<cores>c" for the fresh and
+        # frozen recordings, so a ratio recorded on a 1-core runner is
+        # never silently compared with a multi-core one.
         print()
         print("| benchmark:metric | fresh | frozen | ratio | verdict "
               "| host (fresh/frozen) |")
