@@ -40,6 +40,13 @@ this possible:
 Lanes whose params the fast path does not cover (sarsa/doubleq rules,
 state buckets, the dict backend) fall back to the real
 ``ReassignLearner`` — trivially bit-identical, just not faster.
+
+Provenance warm starts (``BatchSpec.prior_qtable_json`` /
+``prior_history``) go through the same ``ReassignLearner`` constructor
+on every lane: it parses and validates the prior table and bootstraps
+the reward, and a fast lane adopts that scheduler state (see
+:class:`~repro.core.lane._FastLane`).  There is one parsing path, so
+a malformed prior raises the same ``ValidationError`` on both paths.
 """
 
 from __future__ import annotations
@@ -91,6 +98,11 @@ class BatchSpec:
     migrations: Optional[MigrationModel] = None
     max_attempts: int = 1
     single_slot_learning: bool = False
+    #: provenance warm start (§III-C): a serialized Q-table and past
+    #: ``(vm_id, te, tf)`` observations, exactly as ``ReassignLearner``
+    #: takes them
+    prior_qtable_json: Optional[str] = None
+    prior_history: Optional[Sequence[Tuple[int, float, float]]] = None
 
 
 @dataclass
@@ -186,10 +198,20 @@ def learn_batch(
             seed=spec.seed,
             max_attempts=spec.max_attempts,
             single_slot_learning=spec.single_slot_learning,
+            prior_qtable_json=spec.prior_qtable_json,
+            prior_history=spec.prior_history,
             clock=None if wall else SimulatedLearningClock(),
         )
+        # the learner parsed the prior table and bootstrapped the
+        # reward; a fast lane takes over that state instead of
+        # rebuilding it (the learner's own scheduler then never runs)
         fast = (
-            _FastLane(params, spec.seed)
+            _FastLane(
+                params,
+                spec.seed,
+                learner.scheduler.qtable,
+                learner.scheduler.reward,
+            )
             if fast_lane_eligible(params)
             else None
         )

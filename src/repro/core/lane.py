@@ -60,6 +60,7 @@ from repro.core.reassign import ReassignParams
 from repro.dag.activation import ActivationState
 from repro.rl.environment import AVAILABLE
 from repro.rl.qtable import QTable
+from repro.rl.reward import PerformanceReward
 from repro.sim.events import Event, EventType
 from repro.sim.failures import NoFailures
 from repro.sim.fluctuation import BurstThrottleFluctuation, NoFluctuation
@@ -742,11 +743,14 @@ def fast_lane_eligible(params: ReassignParams) -> bool:
 class _FastLane:
     """Per-lane fused RL state (Q-table, policy stream, reward state).
 
-    The mutable counterpart of ``ReassignScheduler`` for the fast path:
-    same Q-table construction, same ``reassign-policy`` stream, same
-    Welford accumulators as :class:`~repro.rl.reward.PerformanceReward`
-    — flattened into plain lists/scalars the fused loop updates in
-    place.
+    The mutable counterpart of ``ReassignScheduler`` for the fast path,
+    seeded from a scheduler's learning state: it adopts the scheduler's
+    :class:`~repro.rl.qtable.QTable` object (empty, or restored from a
+    prior), opens the same ``reassign-policy`` stream, and copies the
+    Welford accumulators of its (possibly bootstrapped)
+    :class:`~repro.rl.reward.PerformanceReward` into plain lists/scalars
+    the fused loop updates in place — per-VM entries in the reward's
+    insertion order, which is the order its §III-B std scan walks.
     """
 
     __slots__ = (
@@ -785,13 +789,15 @@ class _FastLane:
     #: interning only ever grows.
     pairs_memo: Dict[int, List[Any]]
 
-    def __init__(self, params: ReassignParams, seed: int) -> None:
+    def __init__(
+        self,
+        params: ReassignParams,
+        seed: int,
+        qtable: QTable,
+        reward: PerformanceReward,
+    ) -> None:
         self.params = params
-        self.qtable = QTable(
-            init_scale=params.qtable_init_scale,
-            seed=seed,
-            backend=params.qtable_backend,
-        )
+        self.qtable = qtable
         # deliberately the SAME stream as ReassignScheduler: the fast
         # path must replay its exact draws (bit-identity contract)
         self.rng = RngService(seed).stream("reassign-policy")  # reprolint: disable=RL008
@@ -801,18 +807,25 @@ class _FastLane:
         self.t = 1
         self.steps = 0
         self.reward_sum = 0.0
-        self.mu = params.mu
-        self.rho = params.rho
+        self.mu = reward.mu
+        self.rho = reward.rho
         self.pos = {}
         self.exec_n = []
         self.exec_mean = []
         self.queue_n = []
         self.queue_mean = []
         self.index = []
-        self.g_exec_n = 0
-        self.g_exec_mean = 0.0
-        self.g_queue_n = 0
-        self.g_queue_mean = 0.0
+        for vm_id, tracker in reward._vms.items():
+            self.pos[vm_id] = len(self.index)
+            self.exec_n.append(tracker.exec_times.count)
+            self.exec_mean.append(tracker.exec_times.mean)
+            self.queue_n.append(tracker.queue_times.count)
+            self.queue_mean.append(tracker.queue_times.mean)
+            self.index.append(tracker.mean_index)
+        self.g_exec_n = reward._global_exec.count
+        self.g_exec_mean = reward._global_exec.mean
+        self.g_queue_n = reward._global_queue.count
+        self.g_queue_mean = reward._global_queue.mean
         self.reward = 0.0
         self.pairs_memo = {}
 

@@ -434,7 +434,7 @@ class ReassignLearner:
         seed: int = 0,
         max_attempts: int = 1,
         prior_qtable_json: Optional[str] = None,
-        prior_history: Optional[List[Tuple[int, float, float]]] = None,
+        prior_history: Optional[Sequence[Tuple[int, float, float]]] = None,
         single_slot_learning: bool = False,
         reward: Optional[PerformanceReward] = None,
         clock: Optional[Callable[[], float]] = None,

@@ -26,6 +26,7 @@ states and ``(activation_id, vm_id)`` tuples.
 from __future__ import annotations
 
 import json
+import math
 from typing import (
     Any,
     Dict,
@@ -80,6 +81,23 @@ def _decode_key(key):
     if isinstance(key, list):
         return tuple(key)
     return key
+
+
+def _finite(value: Any, what: str) -> float:
+    """A JSON number as a finite float, else ``ValidationError``.
+
+    Booleans and strings are not numbers here, and NaN/infinite values
+    would poison every later argmax over the row.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"QTable {what} must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"QTable {what} is out of range") from exc
+    if not math.isfinite(out):
+        raise ValidationError(f"QTable {what} must be finite, got {out!r}")
+    return out
 
 
 class QTable:
@@ -424,18 +442,46 @@ class QTable:
 
     @classmethod
     def from_json(cls, text: str, seed: int = 0, backend: str = "array") -> "QTable":
-        """Restore a table serialized by :meth:`to_json`."""
+        """Restore a table serialized by :meth:`to_json`.
+
+        The text usually comes from a provenance database, so every
+        malformed input — bad JSON, a wrong root or entry shape, an
+        unhashable key, a non-numeric or non-finite value — raises
+        :class:`~repro.util.validate.ValidationError`.
+        """
+        if not isinstance(text, (str, bytes, bytearray)):
+            raise ValidationError(
+                f"QTable JSON must be text, got {type(text).__name__}"
+            )
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"malformed QTable JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError(
+                f"QTable JSON must be an object, got {type(data).__name__}"
+            )
+        entries = data.get("entries", [])
+        if not isinstance(entries, list):
+            raise ValidationError("QTable JSON 'entries' must be a list")
         table = cls(
-            init_scale=float(data.get("init_scale", 1e-3)),
+            init_scale=_finite(data.get("init_scale", 1e-3), "init_scale"),
             seed=seed,
             backend=backend,
         )
-        for s, a, v in data.get("entries", []):
-            table.set(_decode_key(s), _decode_key(a), float(v))
+        for k, entry in enumerate(entries):
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ValidationError(
+                    f"QTable entry {k} must be a [state, action, value] list"
+                )
+            s, a, v = (_decode_key(entry[0]), _decode_key(entry[1]), entry[2])
+            try:
+                hash((s, a))
+            except TypeError as exc:
+                raise ValidationError(
+                    f"QTable entry {k} has an unhashable key: {exc}"
+                ) from exc
+            table.set(s, a, _finite(v, f"entry {k} value"))
         return table
 
     def copy(self) -> "QTable":

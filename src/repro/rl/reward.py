@@ -26,6 +26,7 @@ constant-time regardless of history length.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, Iterable, List, Tuple
 
 from repro.util.stats import RunningStats
@@ -44,8 +45,16 @@ class VmPerformanceTracker:
 
     def observe(self, te: float, tf: float) -> None:
         """Record one activation's execution (te) and queue (tf) times."""
-        if te < 0 or tf < 0:
-            raise ValidationError(f"times must be >= 0, got te={te}, tf={tf}")
+        # one chained test: NaN fails every comparison, so it lands here
+        # too instead of reaching RunningStats.push as a bare ValueError
+        try:
+            ok = 0.0 <= te < math.inf and 0.0 <= tf < math.inf
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValidationError(
+                f"times must be finite and >= 0, got te={te}, tf={tf}"
+            )
         self.exec_times.push(te)
         self.queue_times.push(tf)
 
@@ -104,8 +113,14 @@ class PerformanceReward:
         """Record one execution without computing a reward (replay/bootstrap)."""
         tracker = self._vms.get(vm_id)
         if tracker is None:
-            tracker = self._vms[vm_id] = VmPerformanceTracker(self.mu)
-        tracker.observe(te, tf)
+            tracker = VmPerformanceTracker(self.mu)
+            # register the VM only once its first observation is valid:
+            # every tracker in _vms has history (repro.core.lane relies
+            # on that when it flattens this model)
+            tracker.observe(te, tf)
+            self._vms[vm_id] = tracker
+        else:
+            tracker.observe(te, tf)
         self._global_exec.push(te)
         self._global_queue.push(tf)
 
@@ -187,6 +202,35 @@ class PerformanceReward:
         ]
 
     def bootstrap(self, history: Iterable[Tuple[int, float, float]]) -> None:
-        """Seed the model from prior provenance: (vm_id, te, tf) triples."""
-        for vm_id, te, tf in history:
-            self.observe(int(vm_id), float(te), float(tf))
+        """Seed the model from prior provenance: (vm_id, te, tf) triples.
+
+        A malformed triple raises :class:`~repro.util.validate.ValidationError`.
+        """
+        try:
+            items = iter(history)
+        except TypeError as exc:
+            raise ValidationError(
+                f"prior history must be an iterable of triples: {exc}"
+            ) from exc
+        for k, item in enumerate(items):
+            self.observe(*_history_triple(k, item))
+
+
+def _history_triple(k: int, item: object) -> Tuple[int, float, float]:
+    """One prior-history item as ``(vm_id, te, tf)``, else ValidationError.
+
+    Only the shape and types are checked here; :meth:`PerformanceReward
+    .observe` rejects negative and non-finite times.
+    """
+    if not isinstance(item, (tuple, list)) or len(item) != 3:
+        raise ValidationError(
+            f"prior history item {k} must be a (vm_id, te, tf) triple, "
+            f"got {item!r}"
+        )
+    vm_id, te, tf = item
+    try:
+        return operator.index(vm_id), float(te), float(tf)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"prior history item {k} is not (int, float, float): {item!r}"
+        ) from exc

@@ -4,8 +4,9 @@
 
 1. **SCSetup** loads the workflow specification (XML) and — in the RL
    mode — invokes the WorkflowSim substitute to learn a scheduling plan
-   (ReASSIgN episodes), optionally bootstrapped from the provenance
-   database;
+   (ReASSIgN episodes on the fused lane stepper,
+   :func:`repro.core.batch.learn_batch`), optionally bootstrapped from
+   the provenance database;
 2. **SCStarter** deploys the VMs the plan requires on the simulated AWS
    cloud (boot latency, billing);
 3. **SCCore** executes the plan with the simulated MPI master/slave
@@ -18,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
-from repro.core.reassign import ReassignLearner, ReassignParams
+from repro.core import batch
+from repro.core.reassign import ReassignParams
 from repro.dag.graph import Workflow
 from repro.schedulers.base import SchedulingPlan, StaticScheduler
 from repro.scicumulus.cloud import CloudProfile, SimulatedCloud
@@ -161,15 +163,18 @@ class SciCumulusRL:
                     spec_workflow.name, label
                 )
                 prior_history = history or None
-            learner = ReassignLearner(
-                spec_workflow,
-                learning_fleet,
-                params,
-                seed=run_seed,
-                prior_qtable_json=prior_qtable,
-                prior_history=prior_history,
-            )
-            learning = learner.learn()
+            # the fused lane stepper, byte-identical to
+            # ReassignLearner(...).learn() with the same priors
+            learning = batch.learn_batch([
+                batch.BatchSpec(
+                    workflow=spec_workflow,
+                    vms=learning_fleet,
+                    params=params,
+                    seed=run_seed,
+                    prior_qtable_json=prior_qtable,
+                    prior_history=prior_history,
+                )
+            ])[0]
             plan = learning.plan
             learning_time = learning.learning_time
             simulated_makespan = learning.simulated_makespan

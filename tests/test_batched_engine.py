@@ -11,15 +11,23 @@ byte-equality against ``ReassignLearner.learn()``:
   cover ineligible-lane fallbacks (SARSA / Double-Q / bucketed states)
   mixed into one batch, and the sweep fingerprint across worker counts
   and batch sizes;
+- provenance warm starts (a prior Q-table and reward history) match
+  the reference learner built from the same priors, on the lean body
+  (each prior alone, both, per-episode reward memory), on the general
+  body, on a SARSA fallback lane and with cold and warm lanes sharing
+  one kernel; malformed
+  priors raise the same ``ValidationError`` on both paths;
 - ``adopt_kernel``'s safety rails reject double adoption and
   mismatched kernel configurations.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.lane as lane
 from repro.core.batch import BatchSpec, fast_lane_eligible, learn_batch
 from repro.core.reassign import (
     ReassignLearner,
@@ -30,6 +38,7 @@ from repro.dag.activation import Activation
 from repro.dag.graph import Workflow
 from repro.experiments.environments import fleet_for
 from repro.sim.failures import BernoulliFailures
+from repro.sim.kernel import EpisodeKernel
 from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
@@ -174,6 +183,174 @@ class TestBatchedVsSerial:
 
     def test_empty_batch_is_empty(self):
         assert learn_batch([]) == []
+
+
+def _priors(wf, vms, seed=77):
+    """A provenance-style warm start: an earlier run's table + history.
+
+    The history covers every VM of the fleet (50 triples) plus one VM id
+    outside it, which still takes part in the §III-B std scan.
+    """
+    earlier = ReassignLearner(
+        wf, vms, ReassignParams(episodes=4), seed=seed
+    ).learn()
+    ids = [vm.id for vm in vms] + [999]
+    history = [
+        (ids[k % len(ids)], 4.0 + 7.5 * (k % 5), 0.25 * (k % 7))
+        for k in range(50)
+    ]
+    return earlier.qtable_json, history
+
+
+def _warm_serial(spec: BatchSpec, **env):
+    return ReassignLearner(
+        spec.workflow,
+        spec.vms,
+        spec.params,
+        seed=spec.seed,
+        max_attempts=spec.max_attempts,
+        prior_qtable_json=spec.prior_qtable_json,
+        prior_history=spec.prior_history,
+        clock=SimulatedLearningClock(),
+        **env,
+    ).learn()
+
+
+class TestWarmStarts:
+    """``learn_batch`` with provenance priors vs the reference learner."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        """Count calls to ``owner.name`` for the rest of the test."""
+        calls = []
+        real = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "priors, memory",
+        [("both", "full"), ("qtable", "full"), ("history", "full"),
+         ("both", "episode")],
+    )
+    def test_lean_body_matches_reference(self, monkeypatch, priors, memory):
+        wf = montage(25, seed=3)
+        qjson, history = _priors(wf, fleet_for(16))
+        spec = BatchSpec(
+            workflow=wf, vms=fleet_for(16),
+            params=ReassignParams(episodes=6, reward_memory=memory), seed=5,
+            prior_qtable_json=None if priors == "history" else qjson,
+            prior_history=None if priors == "qtable" else history,
+        )
+        lean = self._count(monkeypatch, lane, "_drive_lean")
+        got = learn_batch([spec], timing="simulated")[0]
+        assert len(lean) == 6
+        assert got.to_json() == _warm_serial(spec).to_json()
+        # the priors really steer the run
+        cold = replace(spec, prior_qtable_json=None, prior_history=None)
+        assert learn_batch([cold], timing="simulated")[0].to_json() != got.to_json()
+
+    def test_fast_lane_mirrors_the_bootstrapped_reward(self):
+        # the §III-B std scan walks per-VM indexes in the reward's
+        # insertion order; the flattened lane must keep that order
+        params = ReassignParams()
+        learner = ReassignLearner(
+            random_dag(3), fleet_for(16), params, seed=2,
+            prior_history=[(5, 3.0, 1.0), (0, 9.0, 0.5), (999, 4.0, 2.0),
+                           (5, 6.0, 0.0)],
+        )
+        reward = learner.scheduler.reward
+        fast = lane._FastLane(params, 2, learner.scheduler.qtable, reward)
+        assert fast.qtable is learner.scheduler.qtable
+        assert list(fast.pos) == [5, 0, 999]
+        assert list(fast.pos.values()) == [0, 1, 2]
+        assert fast.index == [reward.vm_index(v) for v in (5, 0, 999)]
+        assert fast.exec_n == fast.queue_n == [2, 1, 1]
+        assert (fast.g_exec_n, fast.g_queue_n) == (4, 4)
+        assert (
+            fast.g_exec_mean * fast.mu + (1.0 - fast.mu) * fast.g_queue_mean
+            == reward.global_index()
+        )
+
+    def test_general_body_under_failures_matches_reference(self, monkeypatch):
+        wf = montage(15, seed=3)
+        failures = BernoulliFailures(0.05)
+        qjson, history = _priors(wf, fleet_for(16))
+        spec = BatchSpec(
+            workflow=wf, vms=fleet_for(16),
+            params=ReassignParams(episodes=6), seed=12,
+            failures=failures, max_attempts=2,
+            prior_qtable_json=qjson, prior_history=history,
+        )
+        general = self._count(monkeypatch, lane, "_drive_general")
+        got = learn_batch([spec], timing="simulated")[0]
+        assert len(general) == 6
+        expected = _warm_serial(spec, failures=failures)
+        assert got.to_json() == expected.to_json()
+
+    def test_sarsa_fallback_lane_keeps_priors(self):
+        wf = random_dag(42, n_min=5, n_max=8)
+        qjson, history = _priors(wf, fleet_for(16))
+        spec = BatchSpec(
+            workflow=wf, vms=fleet_for(16),
+            params=ReassignParams(episodes=4, rule="sarsa"),
+            seed=8, prior_qtable_json=qjson, prior_history=history,
+        )
+        assert not fast_lane_eligible(spec.params)
+        got = learn_batch([spec], timing="simulated")[0]
+        assert got.to_json() == _warm_serial(spec).to_json()
+        cold = learn_batch(
+            [_spec(wf, 8, episodes=4, rule="sarsa")], timing="simulated"
+        )[0]
+        assert cold.qtable_json != got.qtable_json
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_mixed_cold_and_warm_lanes_share_one_kernel(
+        self, monkeypatch, width
+    ):
+        wf = montage(25, seed=3)
+        qjson, history = _priors(wf, fleet_for(16))
+        specs = [
+            BatchSpec(
+                workflow=wf, vms=fleet_for(16),
+                params=ReassignParams(episodes=4, alpha=0.5 + 0.2 * (k % 2)),
+                seed=20 + k,
+                # lane 0 warm, lane 1 cold, lane 2 warm from history only
+                prior_qtable_json=qjson if k == 0 else None,
+                prior_history=history if k in (0, 2) else None,
+            )
+            for k in range(width)
+        ]
+        builds = self._count(monkeypatch, EpisodeKernel, "__init__")
+        batched = learn_batch(specs, timing="simulated")
+        assert len(builds) == 1
+        for spec, got in zip(specs, batched):
+            assert got.to_json() == _warm_serial(spec).to_json()
+
+    @pytest.mark.parametrize(
+        "prior",
+        [
+            {"prior_qtable_json": "[]"},
+            {"prior_qtable_json": '{"entries": [["s", "a", NaN]]}'},
+            {"prior_history": [(0, 1.0)]},
+            {"prior_history": [(0, float("nan"), 1.0)]},
+        ],
+    )
+    def test_malformed_priors_rejected_alike(self, prior):
+        wf = random_dag(5)
+        spec = BatchSpec(
+            workflow=wf, vms=fleet_for(16),
+            params=ReassignParams(episodes=2), seed=1, **prior,
+        )
+        with pytest.raises(ValidationError) as fused:
+            learn_batch([spec])
+        with pytest.raises(ValidationError) as reference:
+            _warm_serial(spec)
+        assert str(fused.value) == str(reference.value)
 
 
 class TestSweepFingerprints:

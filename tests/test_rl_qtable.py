@@ -1,8 +1,11 @@
 """Tests for repro.rl.qtable."""
 
+import json
+import math
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rl import QTable
 from repro.util.rng import RngService
@@ -91,6 +94,38 @@ class TestPersistence:
         with pytest.raises(ValidationError):
             QTable.from_json("][")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",  # root is not an object
+            '"str"',
+            "5",
+            '{"entries": 5}',  # entries is not a list
+            '{"entries": [["s", "a"]]}',  # two-element entry
+            '{"entries": [5]}',
+            '{"entries": [["s", {"x": 1}, 1.0]]}',  # unhashable action
+            '{"entries": [[["s", ["t"]], "a", 1.0]]}',  # list in a tuple key
+            '{"entries": [["s", "a", "x"]]}',  # non-numeric value
+            '{"entries": [["s", "a", true]]}',
+            '{"entries": [["s", "a", null]]}',
+            '{"entries": [["s", "a", NaN]]}',  # would poison argmax
+            '{"entries": [["s", "a", Infinity]]}',
+            '{"entries": [["s", "a", -Infinity]]}',
+            '{"entries": [["s", "a", 1e400]]}',
+            '{"entries": [["s", "a", 1' + "0" * 400 + "]]}",
+            '{"init_scale": "abc"}',
+            '{"init_scale": NaN}',
+            '{"init_scale": -1.0}',
+        ],
+    )
+    def test_bad_payloads_raise_validation_error(self, text):
+        with pytest.raises(ValidationError):
+            QTable.from_json(text)
+
+    def test_non_text_is_rejected(self):
+        with pytest.raises(ValidationError, match="must be text"):
+            QTable.from_json(None)  # type: ignore[arg-type]
+
     def test_items_sorted(self):
         t = QTable(init_scale=0.0)
         t.set("b", "y", 1.0)
@@ -114,3 +149,58 @@ class TestPersistence:
         assert clone._id_memo == {}
         # the clone's init stream continues where the original's would
         assert clone.value("sX", (5, 5)) == table.value("sX", (5, 5))
+
+
+# -- fuzz: every outcome is a table or a ValidationError --------------------
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=4)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+#: near-miss tables: the right root shape with fuzzed entries/scale
+_near_tables = st.fixed_dictionaries(
+    {},
+    optional={
+        "init_scale": _json_values,
+        "entries": st.lists(
+            st.lists(_json_values, min_size=0, max_size=4)
+            | st.tuples(
+                st.text(max_size=3) | st.lists(st.integers(0, 9), max_size=3),
+                st.lists(st.integers(0, 9), max_size=3) | _json_scalars,
+                _json_scalars,
+            ).map(list),
+            max_size=5,
+        )
+        | _json_values,
+    },
+)
+
+
+class TestFromJsonFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(payload=_json_values | _near_tables, backend=st.sampled_from(["array", "dict"]))
+    def test_json_values_load_or_raise_validation_error(self, payload, backend):
+        self._check(json.dumps(payload), backend)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(max_size=40))
+    def test_arbitrary_text_loads_or_raises_validation_error(self, text):
+        self._check(text, "array")
+
+    @staticmethod
+    def _check(text, backend):
+        try:
+            table = QTable.from_json(text, backend=backend)
+        except ValidationError:
+            return
+        # a table that loads holds finite values only
+        assert all(math.isfinite(v) for _s, _a, v in table.items())

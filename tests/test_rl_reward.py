@@ -116,6 +116,42 @@ class TestSmoothedReward:
         assert r.vm_ids() == [0, 1]
         assert r.global_index() > 0
 
+    @pytest.mark.parametrize(
+        "history",
+        [
+            [(0, 1.0)],  # too short to unpack
+            [(0, 1.0, 1.0, 1.0)],
+            [("x", 1.0, 1.0)],  # vm id not an int
+            [(1.5, 1.0, 1.0)],
+            [(None, 1.0, 1.0)],
+            [(0, "fast", 1.0)],
+            [(0, None, 1.0)],
+            [(0, float("nan"), 1.0)],
+            [(0, 1.0, float("nan"))],
+            [(0, float("inf"), 1.0)],
+            [(0, -1.0, 1.0)],
+            [(0, 1.0, 1.0), 7],  # a non-triple after a good one
+            5,  # not iterable
+        ],
+    )
+    def test_bootstrap_rejects_bad_triples(self, history):
+        with pytest.raises(ValidationError):
+            PerformanceReward().bootstrap(history)
+
+    @pytest.mark.parametrize(
+        "te, tf",
+        [(float("nan"), 1.0), (1.0, float("nan")), (float("inf"), 1.0),
+         ("x", 1.0), (None, 1.0)],
+    )
+    def test_observe_rejects_bad_times(self, te, tf):
+        r = PerformanceReward()
+        with pytest.raises(ValidationError):
+            r.observe(0, te, tf)
+        with pytest.raises(ValidationError):
+            r.step(1, te, tf)
+        # a rejected first observation registers no VM
+        assert r.vm_ids() == []
+
     def test_snapshot(self):
         r = PerformanceReward(mu=0.5)
         r.observe(3, 10.0, 2.0)

@@ -3,7 +3,7 @@ and the SWfMS facade."""
 
 import pytest
 
-from repro.core import ReassignParams
+from repro.core import LearningResult, ReassignLearner, ReassignParams
 from repro.schedulers import HeftScheduler, SchedulingPlan
 from repro.scicumulus import (
     CloudProfile,
@@ -17,8 +17,20 @@ from repro.scicumulus import (
 )
 from repro.scicumulus.swfms import fleet_label
 from repro.sim.metrics import ActivationRecord, SimulationResult
+from repro.util.rng import RngService
 from repro.util.validate import ValidationError
 from repro.workflows import montage
+
+
+def _learning_fingerprint(result):
+    """A LearningResult's deterministic content (no wall clock)."""
+    return (
+        result.qtable_json,
+        result.plan.to_json(),
+        result.simulated_makespan,
+        result.simulated_learning_time,
+        [e.to_dict() for e in result.episodes],
+    )
 
 
 class TestXmlSpec:
@@ -257,6 +269,41 @@ class TestSwfms:
         ) is not None
         report2 = swfms.run_workflow(montage25, spec, "reassign", params)
         assert report2.total_execution_time > 0
+
+    def test_warm_runs_match_the_reference_learner(self, montage25):
+        """Cold, warm, warm on one store: each recorded learning run is
+        what ``ReassignLearner.learn()`` gives for the same priors."""
+        swfms = SciCumulusRL(seed=4)
+        params = ReassignParams(episodes=4)
+        spec = {"t2.micro": 2, "t2.2xlarge": 1}
+        label = fleet_label(spec)
+        fleet = swfms._learning_fleet(spec)
+        # SCSetup learns on the XML round trip of the workflow
+        spec_workflow = workflow_from_xml(workflow_to_xml(montage25))
+        for run in (1, 2, 3):
+            store = swfms.provenance
+            prior_qtable = store.latest_qtable(
+                montage25.name, label, params.label()
+            )
+            prior_history = store.execution_history(montage25.name, label)
+            assert (prior_qtable is None) == (run == 1)
+            assert bool(prior_history) == (run > 1)
+            swfms.run_workflow(montage25, spec, "reassign", params)
+            (payload,) = store._conn.execute(
+                "SELECT payload FROM learning_runs ORDER BY id DESC LIMIT 1"
+            ).fetchone()
+            recorded = LearningResult.from_json(payload)
+            expected = ReassignLearner(
+                spec_workflow,
+                fleet,
+                params,
+                seed=RngService(4).spawn_seed(f"run:{run}"),
+                prior_qtable_json=prior_qtable,
+                prior_history=prior_history or None,
+            ).learn()
+            assert _learning_fingerprint(recorded) == _learning_fingerprint(
+                expected
+            )
 
     def test_unknown_scheduler_string(self, montage25):
         with pytest.raises(ValidationError):

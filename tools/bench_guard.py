@@ -59,8 +59,13 @@ GUARDED: Dict[str, List[str]] = {
     "results/BENCH_batched_engine.json": ["batched_vs_serial_speedup"],
     # Fused lane stepper (learn_batch([spec])[0]) vs the reference
     # learner, both arms equivalence-gated in the same process at the
-    # frozen Montage-50 protocol (see benchmarks/test_fused_learning.py).
-    "results/BENCH_fused_learning.json": ["fused_vs_reference_speedup"],
+    # frozen Montage-50 protocol, from a cold start and from an earlier
+    # SciCumulus-RL run's provenance (see
+    # benchmarks/test_fused_learning.py).
+    "results/BENCH_fused_learning.json": [
+        "fused_vs_reference_speedup",
+        "fused_vs_reference_warm_speedup",
+    ],
 }
 
 
