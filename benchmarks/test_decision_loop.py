@@ -5,7 +5,7 @@ fleet, burst-throttle fluctuation) three ways, all driving the same
 kernel-reuse episode loop with the same per-episode seeds:
 
 - **fast path**: the current tree as shipped — interned dense
-  (``backend="array"``) Q-table, version-cached ``ctx.action_pairs``
+  :class:`~repro.rl.QTable`, version-cached ``ctx.action_pairs``
   cross product, incremental ``ctx.n_finished`` progress label, Welford
   reward inlined;
 - **legacy loop**: an in-tree replica of the PR 3-era decision loop —
@@ -85,10 +85,67 @@ def _episode_seeds(seed, n):
     return [rng.spawn_seed(f"episode:{i}") for i in range(n)]
 
 
-def _params(backend="array"):
-    return ReassignParams(
-        alpha=0.5, gamma=1.0, epsilon=0.1, qtable_backend=backend
-    )
+def _params():
+    return ReassignParams(alpha=0.5, gamma=1.0, epsilon=0.1)
+
+
+class _LegacyDictQTable:
+    """PR 3-era Q-table: one sparse dict, per-action ``value()`` scans.
+
+    Draws each entry's random initial value on first touch from the
+    same ``qtable-init`` stream as :class:`~repro.rl.QTable`, so both
+    tables hold the same floats.
+    """
+
+    def __init__(self, init_scale, seed):
+        self._init_scale = float(init_scale)
+        self._rng = RngService(seed).stream("qtable-init")
+        self._values = {}
+
+    def value(self, state, action):
+        key = (state, action)
+        v = self._values.get(key)
+        if v is None:
+            v = float(self._rng.uniform(0.0, self._init_scale))
+            self._values[key] = v
+        return v
+
+    def add(self, state, action, delta):
+        new = self.value(state, action) + float(delta)
+        self._values[(state, action)] = new
+        return new
+
+    def max_value(self, state, actions):
+        best = None
+        for action in actions:
+            v = self.value(state, action)
+            if best is None or v > best:
+                best = v
+        return best if best is not None else 0.0
+
+    def best_action(self, state, actions, rng=None):
+        actions = list(actions)
+        values = [self.value(state, a) for a in actions]
+        top = max(values)
+        ties = [a for a, v in zip(actions, values) if v >= top - 1e-15]
+        if len(ties) == 1 or rng is None:
+            return ties[0]
+        return ties[int(rng.integers(len(ties)))]
+
+    def to_json(self):
+        """Same entry order and encoding as ``QTable.to_json``."""
+        triples = sorted(
+            ((s, a, v) for (s, a), v in self._values.items()),
+            key=lambda t: (repr(t[0]), repr(t[1])),
+        )
+        entries = [
+            [s, list(a) if isinstance(a, tuple) else a, v]
+            for s, a, v in triples
+        ]
+        return json.dumps(
+            {"init_scale": self._init_scale, "entries": entries},
+            sort_keys=True,
+        )
 
 
 class _LegacyReward(PerformanceReward):
@@ -127,12 +184,19 @@ class _LegacyLoopScheduler(ReassignScheduler):
         return f"available:p{bucket}"
 
 
-def _run_arm(wf, fleet, seeds, scheduler_cls, backend):
+def _run_arm(wf, fleet, seeds, scheduler_cls):
     """One fresh scheduler + kernel-reuse loop; returns (mks, s, qjson)."""
-    params = _params(backend)
-    scheduler = scheduler_cls(params, seed=1, learning=True)
+    params = _params()
     if scheduler_cls is _LegacyLoopScheduler:
-        scheduler.reward = _LegacyReward(mu=params.mu, rho=params.rho)
+        scheduler = scheduler_cls(
+            params,
+            qtable=_LegacyDictQTable(params.qtable_init_scale, seed=1),
+            reward=_LegacyReward(mu=params.mu, rho=params.rho),
+            seed=1,
+            learning=True,
+        )
+    else:
+        scheduler = scheduler_cls(params, seed=1, learning=True)
     kernel = EpisodeKernel(
         wf, fleet, fluctuation=BurstThrottleFluctuation(**_FLUCTUATION)
     )
@@ -315,12 +379,12 @@ def _run_and_record(results_dir, episodes, reps, with_baseline):
     fleet = fleet_for(16)
     seeds = _episode_seeds(1, episodes)
     # warmup outside the timed reps
-    _run_arm(wf, fleet, seeds, ReassignScheduler, "array")
+    _run_arm(wf, fleet, seeds, ReassignScheduler)
     fast_mk, fast_s, fast_q = best_of(
-        reps, lambda: _run_arm(wf, fleet, seeds, ReassignScheduler, "array")
+        reps, lambda: _run_arm(wf, fleet, seeds, ReassignScheduler)
     )
     legacy_mk, legacy_s, legacy_q = best_of(
-        reps, lambda: _run_arm(wf, fleet, seeds, _LegacyLoopScheduler, "dict")
+        reps, lambda: _run_arm(wf, fleet, seeds, _LegacyLoopScheduler)
     )
     assert fast_mk == legacy_mk, (
         "fast and legacy decision loops diverged — throughput numbers void"

@@ -38,8 +38,8 @@ this possible:
    ``results/BENCH_batched_engine.json``).
 
 Lanes whose params the fast path does not cover (sarsa/doubleq rules,
-state buckets, the dict backend) fall back to the real
-``ReassignLearner`` — trivially bit-identical, just not faster.
+state buckets) fall back to the real ``ReassignLearner`` — trivially
+bit-identical, just not faster.
 
 Provenance warm starts (``BatchSpec.prior_qtable_json`` /
 ``prior_history``) go through the same ``ReassignLearner`` constructor
@@ -60,11 +60,9 @@ from repro.core.lane import _drive_episode, _FastLane, fast_lane_eligible
 from repro.core.reassign import (
     ReassignLearner,
     ReassignParams,
-    ReassignScheduler,
     SimulatedLearningClock,
 )
 from repro.dag.graph import Workflow
-from repro.rl.reward import PerformanceReward
 from repro.schedulers.base import SchedulingPlan
 from repro.sim.failures import FailureModel
 from repro.sim.fluctuation import FluctuationModel
@@ -117,49 +115,14 @@ class _Lane:
     last_result: Optional[SimulationResult] = None
 
 
-def _final_plan(
-    lane: _Lane, kernel: EpisodeKernel
-) -> Tuple[SchedulingPlan, float]:
-    """The paper's final plan for a fast lane (mirrors ``learn()``)."""
-    assert lane.fast is not None
-    last = lane.last_result
-    params = lane.params
-    if last is not None and last.succeeded:
-        order = sorted(
-            last.records, key=lambda r: (r.start_time, r.activation_id)
-        )
-        plan = SchedulingPlan(
-            assignment=last.assignment,
-            priority=[r.activation_id for r in order],
-            name=f"ReASSIgN({params.label()})",
-        )
-        return plan, last.makespan
-    # greedy fallback, identical to ReassignLearner.extract_plan
-    greedy = ReassignScheduler(
-        params,
-        qtable=lane.fast.qtable,
-        reward=PerformanceReward(mu=params.mu, rho=params.rho),
-        seed=lane.spec.seed,
-        learning=False,
-    )
-    result = kernel.run_episode(
-        # same seed name as extract_plan on purpose: identical replay
-        greedy,
-        RngService(lane.spec.seed).spawn_seed("greedy"),  # reprolint: disable=RL008
-    )
-    if not result.succeeded:
-        raise ValidationError(
-            "greedy replay did not finish successfully; cannot extract a plan"
-        )
-    order = sorted(
-        result.records, key=lambda r: (r.start_time, r.activation_id)
-    )
-    plan = SchedulingPlan(
-        assignment=result.assignment,
-        priority=[r.activation_id for r in order],
-        name=f"ReASSIgN({params.label()})",
-    )
-    return plan, result.makespan
+def _final_plan(lane: _Lane) -> Tuple[SchedulingPlan, float]:
+    """The paper's final plan for a fast lane.
+
+    The fast lane learned into the learner's own scheduler table, and a
+    greedy replay reads nothing else (it never touches the reward), so
+    this is exactly ``learn()``'s plan extraction.
+    """
+    return lane.learner.final_plan(lane.last_result)
 
 
 def learn_batch(
@@ -276,7 +239,7 @@ def learn_batch(
                     assignment=result.assignment,
                 )
             )
-        plan, simulated_makespan = _final_plan(lane, kernel)
+        plan, simulated_makespan = _final_plan(lane)
         results.append(
             LearningResult(
                 plan=plan,

@@ -727,17 +727,12 @@ def fast_lane_eligible(params: ReassignParams) -> bool:
     """Whether the fused fast path covers these hyper-parameters.
 
     The fast path replicates the paper's rule exactly: plain Q-learning
-    over the single aggregated "available" state, on the dense (array)
-    Q-table backend.  Everything else — SARSA's deferred update,
-    double-Q's coin stream, progress buckets, the sparse dict backend —
+    over the single aggregated "available" state.  Everything else —
+    SARSA's deferred update, double-Q's coin stream, progress buckets —
     runs through the real ``ReassignScheduler`` instead (bit-identical
     either way; only the throughput differs).
     """
-    return (
-        params.rule == "qlearning"
-        and params.state_buckets == 1
-        and params.qtable_backend == "array"
-    )
+    return params.rule == "qlearning" and params.state_buckets == 1
 
 
 class _FastLane:

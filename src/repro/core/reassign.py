@@ -61,7 +61,11 @@ from repro.sim.simulator import SimulationContext
 from repro.sim.vm import Vm, as_single_slot
 from repro.dag.graph import Workflow
 from repro.util.rng import RngService
-from repro.util.validate import ValidationError, check_probability
+from repro.util.validate import (
+    ValidationError,
+    check_non_negative,
+    check_probability,
+)
 
 __all__ = [
     "ReassignParams",
@@ -126,11 +130,6 @@ class ReassignParams:
     #: reward responsive — mitigates the stale-history lock-in that
     #: degrades late episodes on some workloads; see EXPERIMENTS.md)
     reward_memory: str = "full"
-    #: Q-table storage backend: "array" (interned dense fast path) or
-    #: "dict" (legacy sparse table).  Bit-identical results in both;
-    #: the dict path is kept as an escape hatch and as the reference
-    #: the equivalence suite checks against (see docs/performance.md).
-    qtable_backend: str = "array"
 
     def __post_init__(self) -> None:
         check_probability("alpha", self.alpha)
@@ -142,6 +141,7 @@ class ReassignParams:
             raise ValidationError("alpha must be > 0")
         if self.episodes < 1:
             raise ValidationError("episodes must be >= 1")
+        check_non_negative("qtable_init_scale", self.qtable_init_scale)
         if self.rule not in ("qlearning", "sarsa", "doubleq"):
             raise ValidationError(
                 f"rule must be qlearning/sarsa/doubleq, got {self.rule!r}"
@@ -151,11 +151,6 @@ class ReassignParams:
         if self.reward_memory not in ("full", "episode"):
             raise ValidationError(
                 f"reward_memory must be full/episode, got {self.reward_memory!r}"
-            )
-        if self.qtable_backend not in ("array", "dict"):
-            raise ValidationError(
-                f"qtable_backend must be array/dict, "
-                f"got {self.qtable_backend!r}"
             )
 
     def label(self) -> str:
@@ -193,22 +188,17 @@ class ReassignScheduler(OnlineScheduler):
         self.qtable = (
             qtable
             if qtable is not None
-            else QTable(
-                init_scale=params.qtable_init_scale,
-                seed=seed,
-                backend=params.qtable_backend,
-            )
+            else QTable(init_scale=params.qtable_init_scale, seed=seed)
         )
         if params.rule == "doubleq":
             # the behaviour policy reads Q_A + Q_B; updates flip a coin
             self._qtable_b = QTable(
                 init_scale=params.qtable_init_scale,
                 seed=RngService(seed).spawn_seed("qtable-b"),
-                backend=params.qtable_backend,
             )
-            # NOT "doubleq-coin": repro.rl.double_q owns that stream name,
-            # and sharing it would correlate the two coins under equal
-            # root seeds (RL008).
+            # The "reassign-" prefix is historical: renaming the stream
+            # would change every doubleq run (and ablation A2's rows),
+            # so the name stays as recorded.
             self._coin = RngService(seed).stream("reassign-doubleq-coin")
         else:
             self._qtable_b = None
@@ -474,11 +464,7 @@ class ReassignLearner:
             clock, "advance", None
         )
         qtable = (
-            QTable.from_json(
-                prior_qtable_json,
-                seed=seed,
-                backend=self.params.qtable_backend,
-            )
+            QTable.from_json(prior_qtable_json, seed=seed)
             if prior_qtable_json
             else None
         )
@@ -584,29 +570,40 @@ class ReassignLearner:
                 )
             )
         learning_time = self._clock() - started
-
-        # The paper submits "the generated final scheduling plan": the
-        # schedule the final episode actually realized, whose makespan is
-        # the Table III metric.  If that episode failed, fall back to a
-        # greedy replay.
-        if last_result is not None and last_result.succeeded:
-            order = sorted(
-                last_result.records, key=lambda r: (r.start_time, r.activation_id)
-            )
-            plan = SchedulingPlan(
-                assignment=last_result.assignment,
-                priority=[r.activation_id for r in order],
-                name=f"ReASSIgN({self.params.label()})",
-            )
-            simulated_makespan = last_result.makespan
-        else:
-            plan, simulated_makespan = self.extract_plan()
+        plan, simulated_makespan = self.final_plan(last_result)
         return LearningResult(
             plan=plan,
             episodes=episodes,
             learning_time=learning_time,
             simulated_makespan=simulated_makespan,
             qtable_json=self.scheduler.qtable_json(),
+        )
+
+    def final_plan(
+        self, last_result: Optional[SimulationResult]
+    ) -> Tuple[SchedulingPlan, float]:
+        """The plan a learning run emits, and its simulated makespan.
+
+        The paper submits "the generated final scheduling plan": the
+        schedule the final episode actually realized, whose makespan is
+        the Table III metric.  If that episode failed, fall back to a
+        greedy replay (:meth:`extract_plan`).  Both learning paths — the
+        kernel loop of :meth:`learn` and the fused stepper of
+        :func:`repro.core.batch.learn_batch`, which learns into this
+        learner's scheduler table — read their plan through here.
+        """
+        if last_result is not None and last_result.succeeded:
+            return self._plan_from(last_result), last_result.makespan
+        return self.extract_plan()
+
+    def _plan_from(self, result: SimulationResult) -> SchedulingPlan:
+        order = sorted(
+            result.records, key=lambda r: (r.start_time, r.activation_id)
+        )
+        return SchedulingPlan(
+            assignment=result.assignment,
+            priority=[r.activation_id for r in order],
+            name=f"ReASSIgN({self.params.label()})",
         )
 
     def extract_plan(self) -> Tuple[SchedulingPlan, float]:
@@ -624,20 +621,10 @@ class ReassignLearner:
             learning=False,
         )
         result = self.kernel.run_episode(
-            # repro.core.batch's greedy fallback replays this seed name
-            greedy,
-            RngService(self.seed).spawn_seed("greedy"),  # reprolint: disable=RL008
+            greedy, RngService(self.seed).spawn_seed("greedy")
         )
         if not result.succeeded:
             raise ValidationError(
                 "greedy replay did not finish successfully; cannot extract a plan"
             )
-        order = sorted(
-            result.records, key=lambda r: (r.start_time, r.activation_id)
-        )
-        plan = SchedulingPlan(
-            assignment=result.assignment,
-            priority=[r.activation_id for r in order],
-            name=f"ReASSIgN({self.params.label()})",
-        )
-        return plan, result.makespan
+        return self._plan_from(result), result.makespan

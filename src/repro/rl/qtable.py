@@ -1,26 +1,22 @@
 """Tabular action-value storage.
 
 The paper's evaluation table "Q: S x A" maps (workflow state, schedule
-action) to a value.  :class:`QTable` stores that table behind one of
-two interchangeable backends:
+action) to a value.  :class:`QTable` interns states and actions to
+contiguous integer ids and keeps the Q-values in a growable dense
+``numpy`` array with an explicit lazy-init mask.  ``max_value`` /
+``best_action`` become masked reductions over precomputed action-id
+slices, which is what makes the ReASSIgN decision loop fast (see
+``docs/performance.md``).
 
-- ``backend="array"`` (the default) interns states and actions to
-  contiguous integer ids and keeps the Q-values in a growable dense
-  ``numpy`` array with an explicit lazy-init mask.  ``max_value`` /
-  ``best_action`` become masked vector reductions over precomputed
-  action-id slices, which is what makes the ReASSIgN decision loop fast
-  (see ``docs/performance.md``).
-- ``backend="dict"`` is the legacy sparse dict-backed table, kept as an
-  escape hatch and as the reference the equivalence suite compares the
-  dense backend against.
-
-Both backends are **bit-identical**: unseen entries are initialized *at
-random* on first touch — "Start Q(s, a) for all s, a at random"
-(Algorithm 1) — from a dedicated stream, and the array backend draws in
-exactly the same first-touch order as the dict backend, so every float,
-every tie-break and the serialized JSON agree byte for byte.  States and
-actions may be any hashable, JSON-encodable values; ReASSIgN uses string
-states and ``(activation_id, vm_id)`` tuples.
+Unseen entries are initialized *at random* on first touch — "Start
+Q(s, a) for all s, a at random" (Algorithm 1) — from a dedicated
+stream, one draw per entry in first-touch order, so a plain
+``{(state, action): value}`` dict that draws on first access produces
+the same floats, tie-breaks and serialized JSON byte for byte
+(``tests/test_backend_equivalence.py`` keeps such a model as the
+reference).  States and actions may be any hashable, JSON-encodable
+values; ReASSIgN uses string states and ``(activation_id, vm_id)``
+tuples.
 """
 
 from __future__ import annotations
@@ -47,9 +43,6 @@ __all__ = ["QTable"]
 
 State = Hashable
 Action = Hashable
-
-#: Backends accepted by :class:`QTable`.
-_BACKENDS = ("array", "dict")
 
 #: Action-id slices memoized per actions-tuple identity (see
 #: ``QTable._action_slice``).  Sized to cover the working set of
@@ -108,88 +101,41 @@ class QTable:
     init_scale:
         Unseen entries are drawn uniformly from ``[0, init_scale)``.  A
         small positive scale implements the paper's random initialization
-        while keeping initial values near-neutral.
+        while keeping initial values near-neutral.  Must be finite and
+        ``>= 0``.
     seed:
         Seed for the initialization stream.
-    backend:
-        ``"array"`` (default) for the interned dense storage,
-        ``"dict"`` for the legacy sparse table.  Results are
-        bit-identical in both.
     """
 
-    def __init__(
-        self,
-        init_scale: float = 1e-3,
-        seed: int = 0,
-        backend: str = "array",
-    ) -> None:
+    def __init__(self, init_scale: float = 1e-3, seed: int = 0) -> None:
+        init_scale = _finite(init_scale, "init_scale")
         if init_scale < 0:
             raise ValidationError("init_scale must be >= 0")
-        if backend not in _BACKENDS:
-            allowed = ", ".join(repr(b) for b in sorted(_BACKENDS))
-            raise ValidationError(
-                f"backend must be one of {allowed}, got {backend!r}"
-            )
-        self._backend = backend
-        self._init_scale = float(init_scale)
+        self._init_scale = init_scale
         self._rng: np.random.Generator = RngService(seed).stream("qtable-init")
-        if backend == "dict":
-            self._values: Dict[Tuple[State, Action], float] = {}
-        else:
-            # interning maps: state/action -> contiguous int id
-            self._state_ids: Dict[State, int] = {}
-            self._states: List[State] = []
-            self._action_ids: Dict[Action, int] = {}
-            self._actions: List[Action] = []
-            # dense storage: Q-values + "has been touched" mask
-            self._q = np.zeros((0, 0), dtype=np.float64)
-            self._known = np.zeros((0, 0), dtype=bool)
-            self._n_known = 0
-            # id(actions-tuple) -> (strong ref, action-id array, action
-            # ids as a plain int list, set of state ids already
-            # lazy-initialized against it); the strong ref keeps the id
-            # stable, so the identity check below can never confuse two
-            # tuples, and the ensured-set check is sound because
-            # known-ness is monotone (entries never un-initialize)
-            self._id_memo: Dict[
-                int, Tuple[Tuple[Action, ...], np.ndarray, List[int], set]
-            ] = {}
-
-    @property
-    def backend(self) -> str:
-        """The storage backend (``array``/``dict``)."""
-        return self._backend
-
-    def stats(self) -> Dict[str, Any]:
-        """Size counters for sweep logs: interned ids, entries, bytes.
-
-        ``nbytes`` is the dense storage footprint (Q-values + lazy-init
-        mask); the dict backend has no dense storage and reports
-        ``None``.
-        """
-        if self._backend == "dict":
-            return {
-                "backend": self._backend,
-                "n_states": len({s for (s, _a) in self._values}),
-                "n_actions": len({a for (_s, a) in self._values}),
-                "n_known": len(self._values),
-                "nbytes": None,
-            }
-        out: Dict[str, Any] = {
-            "backend": self._backend,
-            "n_states": len(self._states),
-            "n_actions": len(self._actions),
-            "n_known": self._n_known,
-            "nbytes": int(self._q.nbytes + self._known.nbytes),
-        }
-        return out
+        # interning maps: state/action -> contiguous int id
+        self._state_ids: Dict[State, int] = {}
+        self._states: List[State] = []
+        self._action_ids: Dict[Action, int] = {}
+        self._actions: List[Action] = []
+        # dense storage: Q-values + "has been touched" mask
+        self._q = np.zeros((0, 0), dtype=np.float64)
+        self._known = np.zeros((0, 0), dtype=bool)
+        self._n_known = 0
+        # id(actions-tuple) -> (strong ref, action-id array, action ids
+        # as a plain int list, set of state ids already lazy-initialized
+        # against it); the strong ref keeps the id stable, so the
+        # identity check below can never confuse two tuples, and the
+        # ensured-set check is sound because known-ness is monotone
+        # (entries never un-initialize)
+        self._id_memo: Dict[
+            int, Tuple[Tuple[Action, ...], np.ndarray, List[int], set]
+        ] = {}
 
     def __len__(self) -> int:
-        if self._backend == "dict":
-            return len(self._values)
         return self._n_known
 
-    # -- interning (array backend) -------------------------------------------
+    # -- interning -------------------------------------------
 
     def _grow(self, rows: int, cols: int) -> None:
         """Grow the dense storage to at least (rows, cols), geometrically."""
@@ -262,8 +208,8 @@ class QTable:
         """Lazy-init any untouched (sid, aid) entries, in slice order.
 
         One ``uniform`` call per fresh entry, in the order the actions
-        appear — the exact draw sequence of the dict backend's per-entry
-        first touch (duplicates are re-checked so they draw only once).
+        appear — the same draw sequence as touching each entry through
+        :meth:`value` (duplicates are re-checked so they draw only once).
         """
         known = self._known[sid]
         fresh = np.flatnonzero(~known[aids])
@@ -282,13 +228,6 @@ class QTable:
 
     def value(self, state: State, action: Action) -> float:
         """Q(s, a); initializes the entry randomly on first access."""
-        if self._backend == "dict":
-            key = (state, action)
-            v = self._values.get(key)
-            if v is None:
-                v = float(self._rng.uniform(0.0, self._init_scale))
-                self._values[key] = v
-            return v
         sid = self._state_id(state)
         aid = self._action_id(action)
         if self._known[sid, aid]:
@@ -299,23 +238,8 @@ class QTable:
         self._n_known += 1
         return v
 
-    def peek(self, state: State, action: Action) -> Optional[float]:
-        """Q(s, a) without initializing (None if unseen)."""
-        if self._backend == "dict":
-            return self._values.get((state, action))
-        sid = self._state_ids.get(state)
-        aid = self._action_ids.get(action)
-        if sid is None or aid is None:
-            return None
-        if not self._known[sid, aid]:
-            return None
-        return float(self._q[sid, aid])
-
     def set(self, state: State, action: Action, value: float) -> None:
         """Overwrite Q(s, a)."""
-        if self._backend == "dict":
-            self._values[(state, action)] = float(value)
-            return
         sid = self._state_id(state)
         aid = self._action_id(action)
         if not self._known[sid, aid]:
@@ -326,10 +250,7 @@ class QTable:
     def add(self, state: State, action: Action, delta: float) -> float:
         """Q(s, a) += delta; returns the new value."""
         new = self.value(state, action) + float(delta)
-        if self._backend == "dict":
-            self._values[(state, action)] = new
-        else:
-            self._q[self._state_ids[state], self._action_ids[action]] = new
+        self._q[self._state_ids[state], self._action_ids[action]] = new
         return new
 
     # -- batched reductions ----------------------------------------------------
@@ -340,13 +261,6 @@ class QTable:
         An empty action set corresponds to a terminal/unavailable state,
         whose future value is zero by convention.
         """
-        if self._backend == "dict":
-            best = None
-            for action in actions:
-                v = self.value(state, action)
-                if best is None or v > best:
-                    best = v
-            return best if best is not None else 0.0
         if not isinstance(actions, (tuple, list)):
             actions = list(actions)
         if not actions:
@@ -375,16 +289,6 @@ class QTable:
         rng: Optional[np.random.Generator] = None,
     ) -> Action:
         """argmax_a Q(s, a); ties broken randomly (or by sort order)."""
-        if self._backend == "dict":
-            actions = list(actions)
-            if not actions:
-                raise ValidationError("best_action needs a non-empty action set")
-            values = [self.value(state, a) for a in actions]
-            top = max(values)
-            ties = [a for a, v in zip(actions, values) if v >= top - 1e-15]
-            if len(ties) == 1 or rng is None:
-                return ties[0]
-            return ties[int(rng.integers(len(ties)))]
         if not isinstance(actions, (tuple, list)):
             actions = list(actions)
         if not actions:
@@ -395,8 +299,8 @@ class QTable:
             self._ensure_known(sid, aids)
             ensured.add(sid)
         row = self._q[sid]
-        # same float comparisons as the dict path: max, then the
-        # >= top - 1e-15 tie band, then one draw over the tie count
+        # max, then the >= top - 1e-15 tie band, then one draw over the
+        # tie count (both branches compare the same floats)
         if len(id_list) < _SCALAR_REDUCTION_LIMIT:
             values_list = [row[aid] for aid in id_list]
             cut = max(values_list) - 1e-15
@@ -412,20 +316,13 @@ class QTable:
 
     def items(self) -> List[Tuple[State, Action, float]]:
         """All (state, action, value) triples, deterministically ordered."""
-        if self._backend == "dict":
-            triples = ((s, a, v) for (s, a), v in self._values.items())
-        else:
-            sids, aids = np.nonzero(
-                self._known[: len(self._states), : len(self._actions)]
-            )
-            triples = (
-                (
-                    self._states[sid],
-                    self._actions[aid],
-                    float(self._q[sid, aid]),
-                )
-                for sid, aid in zip(sids, aids)
-            )
+        sids, aids = np.nonzero(
+            self._known[: len(self._states), : len(self._actions)]
+        )
+        triples = (
+            (self._states[sid], self._actions[aid], float(self._q[sid, aid]))
+            for sid, aid in zip(sids, aids)
+        )
         return sorted(triples, key=lambda t: (repr(t[0]), repr(t[1])))
 
     # -- persistence ---------------------------------------------------------
@@ -441,7 +338,7 @@ class QTable:
         )
 
     @classmethod
-    def from_json(cls, text: str, seed: int = 0, backend: str = "array") -> "QTable":
+    def from_json(cls, text: str, seed: int = 0) -> "QTable":
         """Restore a table serialized by :meth:`to_json`.
 
         The text usually comes from a provenance database, so every
@@ -464,11 +361,7 @@ class QTable:
         entries = data.get("entries", [])
         if not isinstance(entries, list):
             raise ValidationError("QTable JSON 'entries' must be a list")
-        table = cls(
-            init_scale=_finite(data.get("init_scale", 1e-3), "init_scale"),
-            seed=seed,
-            backend=backend,
-        )
+        table = cls(init_scale=data.get("init_scale", 1e-3), seed=seed)
         for k, entry in enumerate(entries):
             if not isinstance(entry, list) or len(entry) != 3:
                 raise ValidationError(
@@ -484,21 +377,6 @@ class QTable:
             table.set(s, a, _finite(v, f"entry {k} value"))
         return table
 
-    def copy(self) -> "QTable":
-        """Independent copy (shares no state, fresh init stream)."""
-        out = QTable(init_scale=self._init_scale, backend=self._backend)
-        if self._backend == "dict":
-            out._values = dict(self._values)
-        else:
-            out._state_ids = dict(self._state_ids)
-            out._states = list(self._states)
-            out._action_ids = dict(self._action_ids)
-            out._actions = list(self._actions)
-            out._q = self._q.copy()
-            out._known = self._known.copy()
-            out._n_known = self._n_known
-        return out
-
     # -- pickling ------------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, Any]:
@@ -509,5 +387,4 @@ class QTable:
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        if self._backend != "dict":
-            self._id_memo = {}
+        self._id_memo = {}

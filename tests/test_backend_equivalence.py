@@ -1,32 +1,86 @@
-"""Fast-path equivalence suite: array backend == dict backend, bitwise.
+"""Fast-path equivalence suite: dense QTable == a plain dict, bitwise.
 
-The dense ``backend="array"`` Q-table and the versioned action-pair
-cache are pure performance work — PR-level contract: **no float ever
-differs**.  Three layers of evidence:
+The interned dense :class:`~repro.rl.QTable` and the versioned
+action-pair cache are pure performance work — contract: **no float
+ever differs** from the obvious implementation, a sparse
+``{(state, action): value}`` dict that draws each entry's random
+initial value on first touch (:class:`DictQTable` below, the
+reference model).  Three layers of evidence:
 
-- a property test drives both backends through the same random op
+- a property test drives both tables through the same random op
   interleaving and demands identical returns plus byte-identical
   ``to_json()`` (first-touch draws happen in the same RNG order even
-  though the array backend batch-initializes rows);
-- a full learning run on Montage-25 must match across backends on the
-  Q-table JSON, every per-episode record, and the emitted plan;
+  though the dense table batch-initializes rows);
+- a full learning run on Montage-25 must match when the reference
+  model is injected into ``ReassignScheduler``, on the Q-table JSON,
+  every per-episode record, and the emitted plan;
 - the kernel-caching parallel runner must stay bit-identical between
   ``workers=1`` and ``workers=4``, with the per-process cache provably
   building each distinct kernel once.
 """
 
-import pytest
+import json
+
 from hypothesis import given, settings, strategies as st
 
-from repro.core.reassign import ReassignLearner, ReassignParams
+from repro.core.reassign import ReassignLearner, ReassignParams, ReassignScheduler
 from repro.core.sweep import sweep_tasks
 from repro.experiments.environments import fleet_for
 from repro.rl import QTable
 from repro.runner import ParallelRunner
 from repro.runner.parallel import clear_kernel_cache, kernel_cache_stats
 from repro.util.rng import RngService
-from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
+
+
+class DictQTable:
+    """Reference model of :class:`~repro.rl.QTable`: one dict, one draw per entry."""
+
+    def __init__(self, init_scale=1e-3, seed=0):
+        self._init_scale = float(init_scale)
+        self._rng = RngService(seed).stream("qtable-init")
+        self._values = {}
+
+    def value(self, state, action):
+        key = (state, action)
+        if key not in self._values:
+            self._values[key] = float(self._rng.uniform(0.0, self._init_scale))
+        return self._values[key]
+
+    def set(self, state, action, value):
+        self._values[(state, action)] = float(value)
+
+    def add(self, state, action, delta):
+        new = self.value(state, action) + float(delta)
+        self._values[(state, action)] = new
+        return new
+
+    def max_value(self, state, actions):
+        return max((self.value(state, a) for a in actions), default=0.0)
+
+    def best_action(self, state, actions, rng=None):
+        values = [self.value(state, a) for a in actions]
+        top = max(values)
+        ties = [a for a, v in zip(actions, values) if v >= top - 1e-15]
+        if len(ties) == 1 or rng is None:
+            return ties[0]
+        return ties[int(rng.integers(len(ties)))]
+
+    def items(self):
+        return sorted(
+            ((s, a, v) for (s, a), v in self._values.items()),
+            key=lambda t: (repr(t[0]), repr(t[1])),
+        )
+
+    def to_json(self):
+        def enc(key):
+            return list(key) if isinstance(key, tuple) else key
+
+        entries = [[enc(s), enc(a), v] for s, a, v in self.items()]
+        return json.dumps(
+            {"init_scale": self._init_scale, "entries": entries}, sort_keys=True
+        )
+
 
 # (op, state index, action index, value) — indices keep the key space
 # small enough that interleavings actually collide on rows.
@@ -64,8 +118,8 @@ class TestQTableBackendEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1), ops=_OPS)
     def test_interleaved_ops_bit_identical(self, seed, ops):
-        array = QTable(init_scale=1e-3, seed=seed, backend="array")
-        plain = QTable(init_scale=1e-3, seed=seed, backend="dict")
+        array = QTable(init_scale=1e-3, seed=seed)
+        plain = DictQTable(init_scale=1e-3, seed=seed)
         rng_a = RngService(seed).stream("tie")
         rng_d = RngService(seed).stream("tie")
         for op, state_idx, action_idx, value in ops:
@@ -78,70 +132,52 @@ class TestQTableBackendEquivalence:
     def test_wide_action_set_uses_same_floats(self):
         # crosses the scalar-reduction threshold into the numpy branch
         actions = [(k, k + 1) for k in range(64)]
-        array = QTable(init_scale=1e-3, seed=3, backend="array")
-        plain = QTable(init_scale=1e-3, seed=3, backend="dict")
+        array = QTable(init_scale=1e-3, seed=3)
+        plain = DictQTable(init_scale=1e-3, seed=3)
         assert array.max_value("s", actions) == plain.max_value("s", actions)
         assert array.best_action("s", actions) == plain.best_action("s", actions)
         assert array.to_json() == plain.to_json()
 
     def test_json_round_trip_crosses_backends(self):
-        array = QTable(init_scale=1e-3, seed=9, backend="array")
+        array = QTable(init_scale=1e-3, seed=9)
         array.set("s", (1, 2), 4.5)
         array.value("s", (3, 4))  # lazily initialized entry survives too
-        back = QTable.from_json(array.to_json(), backend="dict")
-        assert back.to_json() == array.to_json()
+        back = QTable.from_json(array.to_json())
+        plain = DictQTable(init_scale=1e-3)
+        for s, a, v in back.items():
+            plain.set(s, a, v)
+        assert back.to_json() == plain.to_json() == array.to_json()
 
 
 class TestLearnerBackendEquivalence:
     def test_learning_run_bit_identical(self):
-        results = {}
-        for backend in ("array", "dict"):
-            learner = ReassignLearner(
-                montage(25, seed=1),
-                fleet_for(16),
-                ReassignParams(episodes=4, qtable_backend=backend),
-                seed=7,
+        params = ReassignParams(episodes=4)
+        learner = ReassignLearner(
+            montage(25, seed=1), fleet_for(16), params, seed=7
+        )
+        fast = learner.learn()
+        # the reference model behind a scheduler, on the learner's own
+        # kernel and episode seeds
+        scheduler = ReassignScheduler(
+            params,
+            qtable=DictQTable(init_scale=params.qtable_init_scale, seed=7),
+            seed=7,
+        )
+        rng = RngService(7)
+        for ep, expected in enumerate(fast.episodes):
+            result = learner.kernel.run_episode(
+                scheduler, rng.spawn_seed(f"episode:{ep}")
             )
-            results[backend] = learner.learn()
-        fast, plain = results["array"], results["dict"]
-        assert fast.qtable_json == plain.qtable_json
-        assert [e.to_dict() for e in fast.episodes] == [
-            e.to_dict() for e in plain.episodes
-        ]
-        assert fast.plan.to_json() == plain.plan.to_json()
-        assert fast.simulated_makespan == plain.simulated_makespan
-
-
-class TestBackendValidationAndStats:
-    def test_unknown_backend_lists_allowed_sorted(self):
-        with pytest.raises(
-            ValidationError,
-            match=r"backend must be one of 'array', 'dict', got 'rocksdb'",
-        ):
-            QTable(backend="rocksdb")
-
-    def test_shard_backend_is_rejected(self):
-        with pytest.raises(ValidationError, match="'shard'"):
-            QTable(backend="shard")
-        with pytest.raises(ValidationError, match="'shard'"):
-            ReassignParams(qtable_backend="shard")
-
-    def test_stats_counts_and_bytes(self):
-        table = QTable(backend="array")
-        table.set("s0", (0, 1), 1.0)
-        table.set("s0", (1, 2), 2.0)
-        table.set("s1", (0, 1), 3.0)
-        stats = table.stats()
-        assert stats["backend"] == "array"
-        assert stats["n_states"] == 2
-        assert stats["n_actions"] == 2
-        assert stats["n_known"] == 3
-        assert stats["nbytes"] > 0
-
-    def test_stats_dict_backend_has_no_dense_bytes(self):
-        table = QTable(backend="dict")
-        table.set("s", (0, 1), 1.0)
-        assert table.stats()["nbytes"] is None
+            assert result.makespan == expected.makespan
+            assert result.final_state == expected.final_state
+            assert result.assignment == expected.assignment
+            assert scheduler.episode_steps == expected.steps
+            assert scheduler.episode_mean_reward == expected.mean_reward
+            assert scheduler.episode_final_reward == expected.final_reward
+        assert scheduler.qtable_json() == fast.qtable_json
+        plan, makespan = learner.final_plan(result)
+        assert plan.to_json() == fast.plan.to_json()
+        assert makespan == fast.simulated_makespan
 
 
 def _cell_fingerprints(records):

@@ -157,7 +157,6 @@ class TestBatchedVsSerial:
             _spec(wf, 1, rule="sarsa"),
             _spec(wf, 1, rule="doubleq"),
             _spec(wf, 1, state_buckets=4),
-            _spec(wf, 1, qtable_backend="dict"),
         ]
         assert fast_lane_eligible(specs[0].params)
         for spec in specs[1:]:

@@ -1,5 +1,7 @@
 """Tests for repro.core — the ReASSIgN algorithm (Algorithm 2)."""
 
+import math
+
 import pytest
 
 from repro.core import (
@@ -9,6 +11,7 @@ from repro.core import (
     ReassignParams,
     ReassignScheduler,
 )
+from repro.core.batch import BatchSpec, learn_batch
 from repro.core.sweep import best_record, sweep_parameters
 from repro.rl.qtable import QTable
 from repro.sim import NoFluctuation, WorkflowSimulator, t2_fleet
@@ -35,6 +38,20 @@ class TestParams:
             ReassignParams(episodes=0)
         with pytest.raises(ValidationError):
             ReassignParams(rule="dqn")
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("entry", ["learn", "learn_batch"])
+    def test_bad_init_scale_is_a_validation_error(
+        self, montage25, fleet16, entry, scale
+    ):
+        # rejected with the params, before a non-finite scale can reach
+        # the first Q draw (where numpy raises OverflowError)
+        with pytest.raises(ValidationError, match="qtable_init_scale"):
+            params = ReassignParams(episodes=2, qtable_init_scale=scale)
+            if entry == "learn":
+                ReassignLearner(montage25, fleet16, params).learn()
+            else:
+                learn_batch([BatchSpec(montage25, fleet16, params)])
 
     def test_label(self):
         assert ReassignParams(0.1, 1.0, 0.5).label() == "a=0.1 g=1 e=0.5"

@@ -1,5 +1,5 @@
-"""Tests for the extension modules: LocalityScheduler, QLambdaAgent,
-random_layered_dag and the characterization/robustness experiments."""
+"""Tests for the extension modules: LocalityScheduler, random_layered_dag
+and the characterization/robustness experiments."""
 
 import math
 
@@ -12,13 +12,10 @@ from repro.experiments.characterization import (
     render_characterization,
     run_characterization,
 )
-from repro.rl import EpsilonGreedyPolicy, QLambdaAgent, QLearningAgent
 from repro.schedulers import GreedyOnlineScheduler, LocalityScheduler
 from repro.sim import SharedStorageNetwork, WorkflowSimulator, t2_fleet
 from repro.util.validate import ValidationError
 from repro.workflows import cybershake, montage
-
-from tests.test_rl_agents import ChainEnv, TwoArmBandit
 
 
 class TestLocalityScheduler:
@@ -55,45 +52,6 @@ class TestLocalityScheduler:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             LocalityScheduler(locality_weight=-1.0)
-
-
-class TestQLambda:
-    def test_learns_bandit(self):
-        agent = QLambdaAgent(alpha=0.5, gamma=1.0, lam=0.5, seed=1)
-        agent.train(TwoArmBandit(), episodes=100)
-        assert agent.greedy_action("s", ["good", "bad"]) == "good"
-
-    def test_learns_chain_faster_than_one_step(self):
-        """Traces propagate terminal reward along the chain in far fewer
-        episodes than one-step Q-learning."""
-        budget = 40
-
-        def final_q(agent_cls, **kw):
-            agent = agent_cls(alpha=0.4, gamma=0.9, discount_power=False,
-                              policy=EpsilonGreedyPolicy(
-                                  0.3, epsilon_is_exploration=True),
-                              seed=7, **kw)
-            agent.train(ChainEnv(8), episodes=budget)
-            return agent.qtable.value(0, "right")
-
-        q_lambda = final_q(QLambdaAgent, lam=0.9)
-        q_one = final_q(QLearningAgent)
-        assert q_lambda > q_one
-
-    def test_lambda_zero_behaves_like_q_learning(self):
-        agent = QLambdaAgent(alpha=0.5, gamma=0.9, lam=0.0, seed=3,
-                             discount_power=False)
-        agent.train(ChainEnv(4), episodes=200)
-        assert all(
-            agent.greedy_action(s, ["left", "right"]) == "right"
-            for s in range(4)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            QLambdaAgent(lam=1.5)
-        with pytest.raises(ValidationError):
-            QLambdaAgent(trace_floor=0.0)
 
 
 class TestRandomDag:

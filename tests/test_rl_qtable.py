@@ -32,13 +32,30 @@ class TestInitialization:
         with pytest.raises(ValidationError):
             QTable(init_scale=-1.0)
 
-    def test_peek_does_not_initialize(self):
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ValidationError, match="finite"):
+            QTable(init_scale=scale)
+
+    def test_reads_do_not_initialize(self):
         t = QTable()
-        assert t.peek("s", "a") is None
+        assert t.max_value("terminal", []) == 0.0
+        assert t.items() == []
+        assert json.loads(t.to_json())["entries"] == []
         assert len(t) == 0
 
 
 class TestUpdates:
+    def test_len_counts_known_entries(self):
+        t = QTable()
+        t.set("s0", (0, 1), 1.0)
+        t.set("s0", (1, 2), 2.0)
+        t.set("s1", (0, 1), 3.0)
+        t.set("s1", (0, 1), 4.0)  # overwrite, not a new entry
+        assert len(t) == 3
+        assert {s for s, _a, _v in t.items()} == {"s0", "s1"}
+        assert {a for _s, a, _v in t.items()} == {(0, 1), (1, 2)}
+
     def test_set_and_add(self):
         t = QTable(init_scale=0.0)
         t.set("s", "a", 2.0)
@@ -88,7 +105,8 @@ class TestPersistence:
         t = QTable(init_scale=0.0)
         t.set("s", (1, 2), 9.0)
         back = QTable.from_json(t.to_json())
-        assert back.peek("s", (1, 2)) == 9.0  # lists decoded back to tuples
+        # lists decoded back to tuples
+        assert back.items() == [("s", (1, 2), 9.0)]
 
     def test_malformed_json(self):
         with pytest.raises(ValidationError):
@@ -136,7 +154,7 @@ class TestPersistence:
     def test_copy_independent(self):
         t = QTable(init_scale=0.0)
         t.set("s", "a", 1.0)
-        c = t.copy()
+        c = QTable.from_json(t.to_json())
         c.set("s", "a", 5.0)
         assert t.value("s", "a") == 1.0
 
@@ -187,19 +205,19 @@ _near_tables = st.fixed_dictionaries(
 
 class TestFromJsonFuzz:
     @settings(max_examples=200, deadline=None)
-    @given(payload=_json_values | _near_tables, backend=st.sampled_from(["array", "dict"]))
-    def test_json_values_load_or_raise_validation_error(self, payload, backend):
-        self._check(json.dumps(payload), backend)
+    @given(payload=_json_values | _near_tables)
+    def test_json_values_load_or_raise_validation_error(self, payload):
+        self._check(json.dumps(payload))
 
     @settings(max_examples=100, deadline=None)
     @given(text=st.text(max_size=40))
     def test_arbitrary_text_loads_or_raises_validation_error(self, text):
-        self._check(text, "array")
+        self._check(text)
 
     @staticmethod
-    def _check(text, backend):
+    def _check(text):
         try:
-            table = QTable.from_json(text, backend=backend)
+            table = QTable.from_json(text)
         except ValidationError:
             return
         # a table that loads holds finite values only
