@@ -23,9 +23,10 @@ for byte what ``ReassignLearner(...).learn()`` returns for the same
 spec, for any batch size B (including B=1).  Three properties make
 this possible:
 
-1. per-lane RNG streams: each lane derives its episode seeds, policy
-   stream and Q-init stream from its *own* root seed, exactly as the
-   serial learner does — no draw in lane b depends on B;
+1. per-lane RNG streams: each lane derives its policy stream and
+   Q-init stream from its *own* root seed, exactly as the serial
+   learner does — no draw in lane b depends on B (a fast lane's
+   kernel draws nothing, so it needs no per-episode seed);
 2. the shared kernel is reset per episode and scrubbed on exceptions
    (the existing single-tenancy contract), and the only cross-lane
    shared mutable structures — the action-pair interner and the
@@ -33,13 +34,20 @@ this possible:
    return identical objects/values regardless of who warmed them;
 3. the fused fast path replicates ``ReassignScheduler``'s float
    arithmetic operation for operation (pinned by
-   ``tests/test_batched_engine.py`` across B ∈ {1, 2, 7, 32}, random
-   DAGs and failures with retries, and by the frozen A/B benchmark
-   ``results/BENCH_batched_engine.json``).
+   ``tests/test_batched_engine.py`` across B ∈ {1, 2, 7, 32} and random
+   DAGs, and by the frozen A/B benchmarks
+   ``results/BENCH_batched_engine.json`` and
+   ``results/BENCH_fused_learning.json``).
 
-Lanes whose params the fast path does not cover (sarsa/doubleq rules,
-state buckets) fall back to the real ``ReassignLearner`` — trivially
-bit-identical, just not faster.
+**Fallback rule.**  :func:`~repro.core.lane.fast_lane_eligible` looks at
+a lane's params and its kernel once, before the lane's first episode.
+The fast path takes plain Q-learning with one state bucket on a
+draw-free kernel with shared staging and no booting VM.  Every other
+lane (sarsa/doubleq rules, state buckets, VMs with ``boot_time > 0``)
+runs the real ``ReassignLearner.learn()`` — trivially bit-identical,
+just not faster.  A spec carries no failure, migration, network or
+fluctuation model; learning under those runs through
+``ReassignLearner`` directly, which keeps every parameter.
 
 Provenance warm starts (``BatchSpec.prior_qtable_json`` /
 ``prior_history``) go through the same ``ReassignLearner`` constructor
@@ -64,14 +72,9 @@ from repro.core.reassign import (
 )
 from repro.dag.graph import Workflow
 from repro.schedulers.base import SchedulingPlan
-from repro.sim.failures import FailureModel
-from repro.sim.fluctuation import FluctuationModel
 from repro.sim.kernel import EpisodeKernel
 from repro.sim.metrics import SimulationResult
-from repro.sim.migration import MigrationModel
-from repro.sim.network import NetworkModel
 from repro.sim.vm import Vm
-from repro.util.rng import RngService
 from repro.util.validate import ValidationError
 
 __all__ = ["BatchSpec", "fast_lane_eligible", "learn_batch"]
@@ -81,8 +84,10 @@ __all__ = ["BatchSpec", "fast_lane_eligible", "learn_batch"]
 class BatchSpec:
     """One lane of a batched learning run.
 
-    Mirrors the ``ReassignLearner`` constructor: the same workflow /
-    fleet / params / seed / environment models produce a bit-identical
+    Mirrors the ``ReassignLearner`` constructor for the default
+    environment (shared storage, the burst-throttle fluctuation
+    default, no failures or migrations): the same workflow / fleet /
+    params / seed / priors produce a bit-identical
     :class:`~repro.core.episode.LearningResult`.
     """
 
@@ -90,12 +95,6 @@ class BatchSpec:
     vms: Sequence[Vm]
     params: Optional[ReassignParams] = None
     seed: int = 0
-    network: Optional[NetworkModel] = None
-    fluctuation: Optional[FluctuationModel] = None
-    failures: Optional[FailureModel] = None
-    migrations: Optional[MigrationModel] = None
-    max_attempts: int = 1
-    single_slot_learning: bool = False
     #: provenance warm start (§III-C): a serialized Q-table and past
     #: ``(vm_id, te, tf)`` observations, exactly as ``ReassignLearner``
     #: takes them
@@ -107,11 +106,7 @@ class BatchSpec:
 class _Lane:
     """Engine-internal per-lane bookkeeping."""
 
-    spec: BatchSpec
-    params: ReassignParams
     learner: ReassignLearner
-    fast: Optional[_FastLane]
-    rng: RngService
     last_result: Optional[SimulationResult] = None
 
 
@@ -147,46 +142,20 @@ def learn_batch(
             f"timing must be 'wall' or 'simulated', got {timing!r}"
         )
     wall = timing == "wall"
-    lanes: List[_Lane] = []
-    for spec in specs:
-        params = spec.params if spec.params is not None else ReassignParams()
-        learner = ReassignLearner(
-            spec.workflow,
-            spec.vms,
-            params,
-            network=spec.network,
-            fluctuation=spec.fluctuation,
-            failures=spec.failures,
-            migrations=spec.migrations,
-            seed=spec.seed,
-            max_attempts=spec.max_attempts,
-            single_slot_learning=spec.single_slot_learning,
-            prior_qtable_json=spec.prior_qtable_json,
-            prior_history=spec.prior_history,
-            clock=None if wall else SimulatedLearningClock(),
-        )
-        # the learner parsed the prior table and bootstrapped the
-        # reward; a fast lane takes over that state instead of
-        # rebuilding it (the learner's own scheduler then never runs)
-        fast = (
-            _FastLane(
-                params,
-                spec.seed,
-                learner.scheduler.qtable,
-                learner.scheduler.reward,
-            )
-            if fast_lane_eligible(params)
-            else None
-        )
-        lanes.append(
-            _Lane(
-                spec=spec,
-                params=params,
-                learner=learner,
-                fast=fast,
-                rng=RngService(spec.seed),
+    lanes = [
+        _Lane(
+            ReassignLearner(
+                spec.workflow,
+                spec.vms,
+                spec.params,
+                seed=spec.seed,
+                prior_qtable_json=spec.prior_qtable_json,
+                prior_history=spec.prior_history,
+                clock=None if wall else SimulatedLearningClock(),
             )
         )
+        for spec in specs
+    ]
 
     # Kernel sharing: lanes with the same fingerprint adopt one kernel.
     # The first lane of each group builds it (or pulls it from the
@@ -202,24 +171,31 @@ def learn_batch(
         else:
             lane.learner.adopt_kernel(shared, fp)
 
-    # One lane at a time, in spec order; fallback lanes run the serial
-    # learner.
+    # One lane at a time, in spec order; lanes the fused body does not
+    # cover run the serial learner.
     results: List[LearningResult] = []
     for lane in lanes:
-        fast = lane.fast
-        if fast is None:
-            results.append(lane.learner.learn())
+        learner = lane.learner
+        params = learner.params
+        kernel = learner.kernel
+        if not fast_lane_eligible(params, kernel):
+            results.append(learner.learn())
             continue
-        kernel = lane.learner.kernel
-        episodes = lane.params.episodes
+        # the learner parsed the prior table and bootstrapped the
+        # reward; the fast lane takes over that state instead of
+        # rebuilding it (the learner's own scheduler then never runs)
+        fast = _FastLane(
+            params,
+            learner.seed,
+            learner.scheduler.qtable,
+            learner.scheduler.reward,
+        )
+        episodes = params.episodes
         records: List[EpisodeRecord] = []
         elapsed = 0.0
         for ep_idx in range(episodes):
-            seed = lane.rng.spawn_seed(f"episode:{ep_idx}")
             t0 = time.perf_counter() if wall else 0.0
-            result = _drive_episode(
-                kernel, fast, seed, lite=ep_idx + 1 < episodes
-            )
+            result = _drive_episode(kernel, fast, lite=ep_idx + 1 < episodes)
             if wall:
                 elapsed += time.perf_counter() - t0
             else:

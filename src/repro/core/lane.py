@@ -12,38 +12,33 @@ to the serial learner for the same spec — see
 :mod:`repro.core.batch`'s module docstring for the full contract and
 the pinning tests.
 
-Two loop bodies implement that contract:
+There is one loop body, :func:`_drive_lean`, and it covers one regime:
+a draw-free kernel (no failures / migrations / revocations, a
+deterministic fluctuation model), shared staging, and no VM that boots
+(``boot_time == 0`` everywhere).  :func:`fast_lane_eligible` decides
+that once per lane; every other lane runs the reference
+``ReassignLearner.learn()``.  In the regime the only event type that
+can ever exist is ``ACTIVATION_DONE``, and its priority (2) sorts
+*before* ``DISPATCH`` (5) at equal times, so the kernel's heap
+interleaving collapses to "pop the completion cluster at time t, then
+run the dispatch phase inline".  That lets the loop drop the ``Event``
+/ ``PendingExecution`` / dispatch-event allocations, keep a plain
+tuple heap, mirror the single Q-row as a Python float list for scalar
+reductions, and localize the state's version counters — while
+performing **exactly** the same RNG draws and float ops as the kernel
+(the selection values are the same IEEE doubles whether read from the
+numpy row or its float-list mirror, and the skipped work — in-flight
+bookkeeping, busy-time integration without a throttle model, attempt
+lookups without failures — is provably dead in the regime).
 
-- :func:`_drive_general` handles every event type (boots, migrations,
-  revocations, failures, generic fluctuation models);
-- :func:`_drive_lean` is a specialized variant for the by-far-hottest
-  regime — a draw-free kernel (no failures / migrations /
-  revocations), shared staging, and no pending boot events after
-  reset.  In that regime the only event type that can ever exist is
-  ``ACTIVATION_DONE``, and its priority (2) sorts *before*
-  ``DISPATCH`` (5) at equal times, so the generic heap interleaving
-  collapses to "pop the completion cluster at time t, then run the
-  dispatch phase inline".  That lets the lean loop drop the ``Event``
-  / ``PendingExecution`` / dispatch-event allocations, keep a plain
-  tuple heap, mirror the single Q-row as a Python float list for
-  scalar reductions, and localize the state's version counters —
-  while performing **exactly** the same RNG draws and float ops as the
-  general loop (the selection values are the same IEEE doubles whether
-  read from the numpy row or its float-list mirror, and the skipped
-  work — in-flight bookkeeping, busy-time integration without a
-  throttle model, attempt lookups without failures — is provably dead
-  in the regime).
-
-Both bodies support **lite mode** (``lite=True``): per-activation
+The body supports **lite mode** (``lite=True``): per-activation
 :class:`~repro.sim.metrics.ActivationRecord` construction is replaced
 by a completion-ordered ``{activation_id: vm_id}`` assignment map and
 the episode returns a :class:`_LiteResult`.  Everything a caller reads
 off a non-final episode (makespan, final state, assignment) is
 preserved byte-for-byte; only the run's final episode needs full
 records (plan extraction sorts them), so callers pass ``lite=False``
-there.  Lite mode is honored by the lean body; the general body
-records fully regardless (correct either way — lite is purely a
-performance hint).
+there.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ import math
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from itertools import product
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,13 +56,10 @@ from repro.dag.activation import ActivationState
 from repro.rl.environment import AVAILABLE
 from repro.rl.qtable import QTable
 from repro.rl.reward import PerformanceReward
-from repro.sim.events import Event, EventType
-from repro.sim.failures import NoFailures
-from repro.sim.fluctuation import BurstThrottleFluctuation, NoFluctuation
+from repro.sim.fluctuation import BurstThrottleFluctuation
 from repro.sim.kernel import (
     _PAIRS_INTERN_LIMIT,
     EpisodeKernel,
-    PendingExecution,
     SimulationError,
 )
 from repro.sim.metrics import ActivationRecord, SimulationResult
@@ -81,11 +73,6 @@ __all__ = [
     "fast_lane_eligible",
 ]
 
-_DONE = EventType.ACTIVATION_DONE
-_DISPATCH = EventType.DISPATCH
-_VM_READY = EventType.VM_READY
-_PRI_DONE = int(_DONE)
-_PRI_DISPATCH = int(_DISPATCH)
 _READY = ActivationState.READY
 _RUNNING = ActivationState.RUNNING
 _FINISHED = ActivationState.FINISHED
@@ -101,638 +88,25 @@ _SUCCEEDED = "successfully finished"
 _LEAN_SCALAR_LIMIT = 256
 
 
-def _drive_general(
-    kernel: EpisodeKernel,
-    lane: _FastLane,
-    lite: bool,
-) -> SimulationResult:
-    """The general loop body (state already reset; handles every event).
-
-    ``lite`` is accepted for signature parity but ignored: regimes that
-    reach this body (failures, migrations, boots, generic fluctuation)
-    are rare enough that full records are always kept — a full
-    :class:`~repro.sim.metrics.SimulationResult` satisfies every lite
-    caller.
-    """
-    del lite
-    state = kernel.state
-    vms = kernel.vms
-    estimates = kernel.estimates
-    fluct = kernel.fluctuation
-    failures = kernel.failures
-    no_fail = type(failures) is NoFailures
-    if type(fluct) is BurstThrottleFluctuation:
-        fl_mode = 1
-        fl_throttle = fluct.throttle_factor
-        fl_credit = fluct.credit_seconds
-        fl_maxv = fluct.burstable_max_vcpus
-    elif type(fluct) is NoFluctuation:
-        fl_mode = 0
-        fl_throttle = fl_credit = 0.0
-        fl_maxv = 0
-    else:
-        fl_mode = 2
-        fl_throttle = fl_credit = 0.0
-        fl_maxv = 0
-    completed = False
-    try:
-        queue = state.queue
-        heap = queue._heap
-        counter = queue._counter
-        max_attempts = kernel.max_attempts
-        horizon = kernel.horizon
-        n_total = kernel.n_activations
-        ac_by_id = kernel._ac_by_id
-        vm_by_id = kernel.vm_by_id
-        children = kernel._children
-        unfinished = state._unfinished_parents
-        shared_staging = kernel._shared_staging
-        network = kernel.network
-        busy_time = state.busy_time
-        file_locations = state.file_locations
-        fl_get = file_locations.get
-        in_flight = state.in_flight
-        ready_time = state.ready_time
-        attempts = state.attempts
-        ready_ids = state._ready_ids
-        records = state.records
-        interned = state._pairs_interned
-        if shared_staging:
-            terms_memo = estimates._stage_in_terms
-            cmp_memo = estimates._compute
-            out_memo = estimates._stage_out
-
-        # RL locals (one lane: its own table, policy stream, reward)
-        params = lane.params
-        table = lane.qtable
-        rng_random = lane.rng.random
-        rng_integers = lane.rng.integers
-        exploit_p = lane.exploit_p
-        alpha = params.alpha
-        gamma = params.gamma
-        discount_power = params.discount_power
-        sid = table._state_id(AVAILABLE)
-        slice_memo = table._action_slice
-        # one-entry identity cache over slice_memo: the update's
-        # next_pairs is usually the next selection's pairs (same
-        # object, via the interner), so most lookups collapse to a
-        # single `is` check (entry[0] is the actions tuple itself;
-        # priming with () draws nothing and interns nothing)
-        sm_entry = slice_memo(())
-        t_rl = 1
-        steps = 0
-        reward_sum = 0.0
-
-        # inlined PerformanceReward state (Welford mean pushes)
-        r_mu = lane.mu
-        r_rho = lane.rho
-        r_pos = lane.pos
-        r_exec_n = lane.exec_n
-        r_exec_mean = lane.exec_mean
-        r_queue_n = lane.queue_n
-        r_queue_mean = lane.queue_mean
-        r_index = lane.index
-        g_exec_n = lane.g_exec_n
-        g_exec_mean = lane.g_exec_mean
-        g_queue_n = lane.g_queue_n
-        g_queue_mean = lane.g_queue_mean
-        reward = 0.0
-
-        # single-slot content caches keyed on the monotonic versions
-        ready_tup_v = -1
-        ready_tup: Tuple[int, ...] = ()
-        idle_ids_v = -1
-        idle_ids: Tuple[int, ...] = ()
-
-        # incremental idleness: with no boot/migration/revocation events
-        # pending (and none ever scheduled by the models), a VM is idle
-        # iff it has a free slot — maintained inline at the two mutation
-        # sites instead of rebuilt per (now, version) key
-        inc_idle = not heap
-        # busy-bitmask idle memo: bit i set ⟺ vms[i] is full.  The two
-        # mutation sites keep busy_mask current, so an idle swap is one
-        # dict hit on identity-stable tuples instead of a rebuild.
-        vm_bits = {vm.id: 1 << i for i, vm in enumerate(vms)}
-        idle_by_mask = state._idle_by_mask
-        busy_mask = 0
-        if inc_idle:
-            for i, vm in enumerate(vms):
-                if len(vm.running) >= vm.type.vcpus:
-                    busy_mask |= 1 << i
-            idle = idle_by_mask.get(busy_mask, ())
-            if not idle and busy_mask not in idle_by_mask:
-                idle = tuple(
-                    [vm for vm in vms if len(vm.running) < vm.type.vcpus]
-                )
-                idle_by_mask[busy_mask] = idle
-            if idle != state._idle_cache:
-                state._idle_cache = idle
-                state._idle_version += 1
-        else:
-            idle = ()
-
-        state.dispatch_scheduled = True
-        heappush(
-            heap,
-            (state.now, _PRI_DISPATCH, next(counter),
-             Event(state.now, _DISPATCH)),
-        )
-
-        while True:
-            if state._n_finished == n_total:
-                break
-            if state._n_failed and not state._n_running and not ready_ids:
-                if n_total == state._n_finished + state._n_failed:
-                    break
-            event = None
-            while heap:
-                item = heappop(heap)
-                ev = item[3]
-                if not ev.cancelled:
-                    event = ev
-                    break
-            if event is None:
-                raise SimulationError(
-                    f"simulation deadlocked at t={state.now:.3f}: workflow "
-                    f"state {state.workflow_state()!r} with no pending events"
-                )
-            t = event.time
-            now = state.now
-            if t < now - 1e-9:
-                raise SimulationError("event time regressed (internal bug)")
-            if t > now:
-                now = t
-                state.now = t
-            if now > horizon:
-                raise SimulationError(
-                    f"simulation exceeded horizon {horizon}"
-                )
-            etype = event.type
-            if etype is _DONE:
-                pending = event.payload
-                aid_ = pending.activation_id
-                ac = ac_by_id[aid_]
-                vm = vm_by_id[pending.vm_id]
-                vm.running.remove(aid_)
-                state._vm_version += 1
-                if inc_idle and len(vm.running) + 1 == vm.type.vcpus:
-                    busy_mask &= ~vm_bits[vm.id]
-                    idle = idle_by_mask.get(busy_mask, ())
-                    if not idle and busy_mask not in idle_by_mask:
-                        idle = tuple([
-                            v for v in vms
-                            if len(v.running) < v.type.vcpus
-                        ])
-                        idle_by_mask[busy_mask] = idle
-                    state._idle_cache = idle
-                    state._idle_version += 1
-                del in_flight[aid_]
-                busy_time[vm.id] += now - pending.dispatch_time
-                outcome = pending.outcome
-                if outcome == "success":
-                    for f in ac.outputs:
-                        file_locations[f.name] = vm.id
-                    records.append(ActivationRecord(
-                        activation_id=aid_,
-                        activity=ac.activity,
-                        vm_id=vm.id,
-                        ready_time=pending.ready_time,
-                        start_time=pending.dispatch_time,
-                        finish_time=now,
-                        stage_in_time=pending.stage_in,
-                        attempts=pending.attempt + 1,
-                        failed=False,
-                    ))
-                    state._records_cache = None
-                    ac.state = _FINISHED
-                    state._n_running -= 1
-                    state._n_finished += 1
-                    released = False
-                    for child_id in children[aid_]:
-                        remaining = unfinished[child_id] - 1
-                        unfinished[child_id] = remaining
-                        if remaining == 0:
-                            child = ac_by_id[child_id]
-                            if child.state is _LOCKED:
-                                child.state = _READY
-                                insort(ready_ids, child_id)
-                                ready_time[child_id] = now
-                                released = True
-                    if released:
-                        state._ready_cache = None
-                        state._ready_version += 1
-                elif outcome == "retry":
-                    attempts[aid_] = pending.attempt + 1
-                    state.make_ready(ac, was_running=True)
-                else:
-                    records.append(ActivationRecord(
-                        activation_id=aid_,
-                        activity=ac.activity,
-                        vm_id=vm.id,
-                        ready_time=pending.ready_time,
-                        start_time=pending.dispatch_time,
-                        finish_time=now,
-                        stage_in_time=pending.stage_in,
-                        attempts=pending.attempt + 1,
-                        failed=True,
-                    ))
-                    state._records_cache = None
-                    state.finish_failure(ac)
-                if not state.dispatch_scheduled:
-                    state.dispatch_scheduled = True
-                    heappush(
-                        heap,
-                        (now, _PRI_DISPATCH, next(counter),
-                         Event(now, _DISPATCH)),
-                    )
-            elif etype is _DISPATCH:
-                state.dispatch_scheduled = False
-                while ready_ids:
-                    if not inc_idle:
-                        key = (now, state._vm_version)
-                        if key != state._idle_key:
-                            state._idle_key = key
-                            rebuilt = tuple([
-                                vm for vm in vms
-                                if not vm.migrating
-                                and now >= vm.available_at
-                                and vm.type.vcpus > len(vm.running)
-                            ])
-                            if rebuilt != state._idle_cache:
-                                state._idle_cache = rebuilt
-                                state._idle_version += 1
-                        idle = state._idle_cache
-                    if not idle:
-                        break
-                    pkey = (state._ready_version, state._idle_version)
-                    if pkey != state._pairs_key:
-                        state._pairs_key = pkey
-                        rv, iv = pkey
-                        if rv != ready_tup_v:
-                            ready_tup_v = rv
-                            ready_tup = tuple(ready_ids)
-                        if iv != idle_ids_v:
-                            idle_ids_v = iv
-                            idle_ids = tuple([vm.id for vm in idle])
-                        content = (ready_tup, idle_ids)
-                        pairs = interned.get(content)
-                        if pairs is None:
-                            pairs = tuple(product(ready_tup, idle_ids))
-                            if len(interned) >= _PAIRS_INTERN_LIMIT:
-                                interned.pop(next(iter(interned)))
-                            interned[content] = pairs
-                        state._pairs_cache = pairs
-                    else:
-                        pairs = state._pairs_cache
-                    # ε-greedy selection, inlined (one gather per step)
-                    if rng_random() < exploit_p:
-                        if sm_entry[0] is not pairs:
-                            sm_entry = slice_memo(pairs)
-                        entry = sm_entry
-                        aids, id_list, ensured = entry[1], entry[2], entry[3]
-                        if sid not in ensured:
-                            # full-row shortcut: with the single bucket
-                            # row fully initialized, _ensure_known has
-                            # nothing left to draw — skip its mask scan
-                            if (
-                                table._n_known != len(table._actions)
-                                or len(table._states) != 1
-                            ):
-                                table._ensure_known(sid, aids)
-                            ensured.add(sid)
-                        row = table._q[sid]
-                        if len(id_list) < 32:
-                            values_list = [row[a] for a in id_list]
-                            cut = max(values_list) - 1e-15
-                            tie_list = [
-                                i for i, v in enumerate(values_list)
-                                if v >= cut
-                            ]
-                            if len(tie_list) == 1:
-                                i = tie_list[0]
-                            else:
-                                i = tie_list[int(rng_integers(len(tie_list)))]
-                        else:
-                            values = row.take(aids)
-                            i = int(values.argmax())
-                            band = values >= values[i] - 1e-15
-                            cnt = int(band.sum())
-                            if cnt > 1:
-                                ties = np.flatnonzero(band)
-                                i = int(ties[int(rng_integers(cnt))])
-                        action = pairs[i]
-                        sel_aid: Optional[int] = id_list[i]
-                    else:
-                        i = int(rng_integers(len(pairs)))
-                        action = pairs[i]
-                        sel_aid = None
-                    activation_id, vm_id = action
-                    ac = ac_by_id[activation_id]
-                    vm = vm_by_id[vm_id]
-                    attempt = attempts.get(activation_id, 0)
-                    ekey = (activation_id, vm_id)
-                    if shared_staging:
-                        terms = terms_memo.get(ekey)
-                        if terms is None:
-                            terms = estimates.stage_in_terms(ac, vm)
-                        stage_in = 0.0
-                        for name, seconds in terms:
-                            if fl_get(name) != vm_id:
-                                stage_in += seconds
-                    else:
-                        stage_in = network.stage_in_time(
-                            ac, vm, file_locations
-                        )
-                    if fl_mode == 0:
-                        factor = 1.0
-                    elif fl_mode == 1:
-                        factor = (
-                            fl_throttle
-                            if vm.type.vcpus <= fl_maxv
-                            and busy_time[vm_id] > fl_credit
-                            else 1.0
-                        )
-                    else:
-                        # generic model ⟹ not draw-free ⟹ reset() ran
-                        # and the state's fluctuation stream exists
-                        factor = fluct.factor(
-                            vm, now, busy_time[vm_id], state.rng_fluct
-                        )
-                    if shared_staging:
-                        compute = cmp_memo.get(ekey)
-                        if compute is None:
-                            compute = estimates.compute_time(ac, vm)
-                        compute *= factor
-                        stage_out = out_memo.get(ekey)
-                        if stage_out is None:
-                            stage_out = estimates.stage_out_time(ac, vm)
-                    else:
-                        compute = estimates.compute_time(ac, vm) * factor
-                        stage_out = network.stage_out_time(ac, vm)
-                    if no_fail:
-                        fails = False
-                    else:
-                        fails = failures.attempt_fails(
-                            ac, vm, attempt, state.rng_fail
-                        )
-                    if fails:
-                        duration = (
-                            stage_in
-                            + compute * failures.failure_runtime_fraction
-                        )
-                        outcome = (
-                            "retry" if attempt + 1 < max_attempts
-                            else "failure"
-                        )
-                    else:
-                        duration = stage_in + compute + stage_out
-                        outcome = "success"
-                    # start_running, inlined
-                    ac.state = _RUNNING
-                    del ready_ids[bisect_left(ready_ids, activation_id)]
-                    state._n_running += 1
-                    state._ready_cache = None
-                    state._ready_version += 1
-                    vm.running.add(activation_id)
-                    state._vm_version += 1
-                    if inc_idle and len(vm.running) == vm.type.vcpus:
-                        busy_mask |= vm_bits[vm_id]
-                        idle = idle_by_mask.get(busy_mask, ())
-                        if not idle and busy_mask not in idle_by_mask:
-                            idle = tuple([
-                                v for v in vms
-                                if len(v.running) < v.type.vcpus
-                            ])
-                            idle_by_mask[busy_mask] = idle
-                        state._idle_cache = idle
-                        state._idle_version += 1
-                    planned_finish = now + duration
-                    a_ready_time = ready_time[activation_id]
-                    pending = PendingExecution(
-                        activation_id=activation_id,
-                        vm_id=vm_id,
-                        ready_time=a_ready_time,
-                        dispatch_time=now,
-                        stage_in=stage_in,
-                        exec_duration=duration,
-                        planned_finish=planned_finish,
-                        attempt=attempt,
-                        outcome=outcome,
-                    )
-                    ev = Event(planned_finish, _DONE, pending)
-                    pending.event = ev
-                    heappush(
-                        heap, (planned_finish, _PRI_DONE, next(counter), ev)
-                    )
-                    in_flight[activation_id] = pending
-                    # PerformanceReward.step, inlined (te, tf)
-                    te = duration
-                    tf = now - a_ready_time
-                    pos = r_pos.get(vm_id)
-                    if pos is None:
-                        pos = len(r_pos)
-                        r_pos[vm_id] = pos
-                        r_exec_n.append(0)
-                        r_exec_mean.append(0.0)
-                        r_queue_n.append(0)
-                        r_queue_mean.append(0.0)
-                        r_index.append(0.0)
-                    n = r_exec_n[pos] + 1
-                    r_exec_n[pos] = n
-                    mean = r_exec_mean[pos]
-                    mean += (te - mean) / n
-                    r_exec_mean[pos] = mean
-                    qn = r_queue_n[pos] + 1
-                    r_queue_n[pos] = qn
-                    qmean = r_queue_mean[pos]
-                    qmean += (tf - qmean) / qn
-                    r_queue_mean[pos] = qmean
-                    vm_index = mean * r_mu + (1.0 - r_mu) * qmean
-                    r_index[pos] = vm_index
-                    g_exec_n += 1
-                    g_exec_mean += (te - g_exec_mean) / g_exec_n
-                    g_queue_n += 1
-                    g_queue_mean += (tf - g_queue_mean) / g_queue_n
-                    global_index = (
-                        g_exec_mean * r_mu + (1.0 - r_mu) * g_queue_mean
-                    )
-                    # §III-B penalty test, short-circuited: std >= 0, so
-                    # a VM at or below the global index can never trip
-                    # `vm_index > global_index + std` — the Welford scan
-                    # over per-VM indexes only runs when it can matter
-                    # (bit-identical: the scan is unchanged when taken)
-                    if vm_index > global_index:
-                        sn = 0
-                        smean = 0.0
-                        sm2 = 0.0
-                        for x in r_index:
-                            sn += 1
-                            delta = x - smean
-                            smean += delta / sn
-                            sm2 += delta * (x - smean)
-                        std = math.sqrt(sm2 / sn) if sn >= 2 else 0.0
-                        r_i = -1.0 if vm_index > global_index + std else 1.0
-                    else:
-                        r_i = 1.0
-                    reward = reward + r_rho * (r_i - reward)
-                    r_t = reward
-                    reward_sum += r_t
-                    # next-state pairs (post-dispatch view)
-                    if ready_ids:
-                        if not inc_idle:
-                            key = (now, state._vm_version)
-                            if key != state._idle_key:
-                                state._idle_key = key
-                                rebuilt = tuple([
-                                    vm for vm in vms
-                                    if not vm.migrating
-                                    and now >= vm.available_at
-                                    and vm.type.vcpus > len(vm.running)
-                                ])
-                                if rebuilt != state._idle_cache:
-                                    state._idle_cache = rebuilt
-                                    state._idle_version += 1
-                            idle = state._idle_cache
-                        if idle:
-                            pkey = (
-                                state._ready_version, state._idle_version
-                            )
-                            if pkey != state._pairs_key:
-                                state._pairs_key = pkey
-                                rv, iv = pkey
-                                if rv != ready_tup_v:
-                                    ready_tup_v = rv
-                                    ready_tup = tuple(ready_ids)
-                                if iv != idle_ids_v:
-                                    idle_ids_v = iv
-                                    idle_ids = tuple(
-                                        [vm.id for vm in idle]
-                                    )
-                                content = (ready_tup, idle_ids)
-                                next_pairs = interned.get(content)
-                                if next_pairs is None:
-                                    next_pairs = tuple(
-                                        product(ready_tup, idle_ids)
-                                    )
-                                    if len(interned) >= _PAIRS_INTERN_LIMIT:
-                                        interned.pop(next(iter(interned)))
-                                    interned[content] = next_pairs
-                                state._pairs_cache = next_pairs
-                            else:
-                                next_pairs = state._pairs_cache
-                        else:
-                            next_pairs = ()
-                    else:
-                        next_pairs = ()
-                    gamma_t = gamma ** t_rl if discount_power else gamma
-                    if next_pairs:
-                        if sm_entry[0] is not next_pairs:
-                            sm_entry = slice_memo(next_pairs)
-                        entry = sm_entry
-                        aids, id_list, ensured = (
-                            entry[1], entry[2], entry[3]
-                        )
-                        if sid not in ensured:
-                            # full-row shortcut: with the single bucket
-                            # row fully initialized, _ensure_known has
-                            # nothing left to draw — skip its mask scan
-                            if (
-                                table._n_known != len(table._actions)
-                                or len(table._states) != 1
-                            ):
-                                table._ensure_known(sid, aids)
-                            ensured.add(sid)
-                        row = table._q[sid]
-                        if len(id_list) < 32:
-                            best = row[id_list[0]]
-                            for a in id_list[1:]:
-                                v = row[a]
-                                if v > best:
-                                    best = v
-                            future = float(best)
-                        else:
-                            future = float(row.take(aids).max())
-                    else:
-                        future = 0.0
-                    if sel_aid is None:
-                        sel_aid = table._action_id(action)
-                    known_row = table._known[sid]
-                    qrow = table._q[sid]
-                    if known_row[sel_aid]:
-                        q_sa = float(qrow[sel_aid])
-                    else:
-                        q_sa = float(
-                            table._rng.uniform(0.0, table._init_scale)
-                        )
-                        qrow[sel_aid] = q_sa
-                        known_row[sel_aid] = True
-                        table._n_known += 1
-                    delta = r_t + gamma_t * future - q_sa
-                    q_new = q_sa + float(alpha * delta)
-                    qrow[sel_aid] = q_new
-                    t_rl += 1
-                    steps += 1
-            elif etype is _VM_READY:
-                if not state.dispatch_scheduled:
-                    state.dispatch_scheduled = True
-                    heappush(
-                        heap,
-                        (now, _PRI_DISPATCH, next(counter),
-                         Event(now, _DISPATCH)),
-                    )
-            elif etype is EventType.MIGRATION_START:
-                kernel._begin_migration(event.payload)
-            elif etype is EventType.REVOCATION:
-                kernel._revoke(event.payload)
-            elif etype is EventType.MIGRATION_END:
-                vm = vm_by_id[event.payload]
-                vm.migrating = False
-                state._vm_version += 1
-                if not state.dispatch_scheduled:
-                    state.dispatch_scheduled = True
-                    heappush(
-                        heap,
-                        (now, _PRI_DISPATCH, next(counter),
-                         Event(now, _DISPATCH)),
-                    )
-            else:
-                raise SimulationError(f"unhandled event type {etype!r}")
-
-        lane.t = t_rl
-        lane.steps = steps
-        lane.reward_sum = reward_sum
-        lane.reward = reward
-        lane.g_exec_n = g_exec_n
-        lane.g_exec_mean = g_exec_mean
-        lane.g_queue_n = g_queue_n
-        lane.g_queue_mean = g_queue_mean
-        makespan = max(
-            (r.finish_time for r in records), default=state.now
-        )
-        result = SimulationResult(
-            workflow_name=kernel.workflow.name,
-            records=list(records),
-            makespan=makespan,
-            final_state=state.workflow_state(),
-            vms=list(vms),
-        )
-        completed = True
-        return result
-    finally:
-        if not completed:
-            state.scrub()
-
-
-def fast_lane_eligible(params: ReassignParams) -> bool:
-    """Whether the fused fast path covers these hyper-parameters.
+def fast_lane_eligible(params: ReassignParams, kernel: EpisodeKernel) -> bool:
+    """Whether the fused loop body covers this lane (decided once per lane).
 
     The fast path replicates the paper's rule exactly: plain Q-learning
-    over the single aggregated "available" state.  Everything else —
-    SARSA's deferred update, double-Q's coin stream, progress buckets —
-    runs through the real ``ReassignScheduler`` instead (bit-identical
-    either way; only the throughput differs).
+    over the single aggregated "available" state, in the regime
+    :func:`_drive_lean` is written for — a draw-free kernel, shared
+    staging and no booting VM.  Everything else — SARSA's deferred
+    update, double-Q's coin stream, progress buckets, failures,
+    migrations, custom networks, boot delays — runs through the real
+    ``ReassignLearner.learn()`` instead (bit-identical either way; only
+    the throughput differs).
     """
-    return params.rule == "qlearning" and params.state_buckets == 1
+    return (
+        params.rule == "qlearning"
+        and params.state_buckets == 1
+        and kernel.draw_free
+        and kernel._shared_staging
+        and not any(vm.type.boot_time > 0 for vm in kernel.vms)
+    )
 
 
 class _FastLane:
@@ -883,29 +257,22 @@ EpisodeOutcome = Union[SimulationResult, _LiteResult]
 def _drive_episode(
     kernel: EpisodeKernel,
     lane: _FastLane,
-    seed: int,
     lite: bool = False,
 ) -> EpisodeOutcome:
     """One fully-inlined learning episode on the fast path.
 
-    Resets the kernel's state (stream-free when draw-free), then runs
-    the specialized lean body when the regime allows it and the general
-    body otherwise — both bit-identical to ``EpisodeKernel.run_episode``
-    driving a ``ReassignScheduler`` (see the module docstring).
+    Resets the kernel's state without re-deriving its RNG streams (the
+    kernel is draw-free), starts the lane's episode and runs
+    :func:`_drive_lean` — bit-identical to ``EpisodeKernel.run_episode``
+    driving a ``ReassignScheduler`` (see the module docstring).  The
+    caller has checked :func:`fast_lane_eligible`.
 
     ``lite=True`` skips per-activation record construction (see
     :class:`_LiteResult`).
     """
-    state = kernel.state
-    if kernel.draw_free:
-        state.reset_fast()
-        lane.start_episode()
-        if kernel._shared_staging and not state.queue._heap:
-            return _drive_lean(kernel, lane, lite)
-    else:
-        state.reset(int(seed))
-        lane.start_episode()
-    return _drive_general(kernel, lane, lite)
+    kernel.state.reset_fast()
+    lane.start_episode()
+    return _drive_lean(kernel, lane, lite)
 
 
 def _drive_lean(
@@ -913,10 +280,10 @@ def _drive_lean(
     lane: _FastLane,
     lite: bool,
 ) -> EpisodeOutcome:
-    """The specialized loop body (state already reset; see module doc).
+    """The fused loop body (state already reset; see module doc).
 
-    Preconditions (checked by :func:`_drive_episode`): ``draw_free``
-    kernel, shared staging network, empty event heap after reset.  In
+    Preconditions (checked by :func:`fast_lane_eligible`): ``draw_free``
+    kernel, shared staging network, no booting VM.  In
     this regime no event can ever be cancelled, no VM boots, migrates
     or is revoked, no attempt fails, and every heap entry is an
     ``ACTIVATION_DONE`` — so events are plain tuples on a local heap,
@@ -1021,7 +388,7 @@ def _drive_lean(
     last_pkey: Optional[Tuple[int, int]] = None
     cpairs: Tuple[Tuple[int, int], ...] = ()
 
-    # busy-bitmask idle memo (same shape as the general body)
+    # busy-bitmask idle memo, kept on the state across episodes
     vm_bits = {vm.id: 1 << i for i, vm in enumerate(vms)}
     vcap_id = {vm.id: vm.type.vcpus for vm in vms}
     idle_by_mask = state._idle_by_mask

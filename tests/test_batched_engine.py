@@ -6,17 +6,15 @@ byte-equality against ``ReassignLearner.learn()``:
 
 - a Hypothesis property learns random layered DAGs batched and serial
   and demands identical ``LearningResult.to_json()``;
-- directed tests sweep the batch width over B ∈ {1, 2, 7, 32}, run the
-  fused general loop body under activation failures with retries,
-  cover ineligible-lane fallbacks (SARSA / Double-Q / bucketed states)
-  mixed into one batch, and the sweep fingerprint across worker counts
-  and batch sizes;
+- directed tests sweep the batch width over B ∈ {1, 2, 7, 32}, cover
+  ineligible-lane fallbacks (SARSA / Double-Q / bucketed states / a
+  booting fleet) mixed into one batch, and the sweep fingerprint
+  across worker counts and batch sizes;
 - provenance warm starts (a prior Q-table and reward history) match
-  the reference learner built from the same priors, on the lean body
-  (each prior alone, both, per-episode reward memory), on the general
-  body, on a SARSA fallback lane and with cold and warm lanes sharing
-  one kernel; malformed
-  priors raise the same ``ValidationError`` on both paths;
+  the reference learner built from the same priors, on the fused body
+  (each prior alone, both, per-episode reward memory), on a SARSA
+  fallback lane and with cold and warm lanes sharing one kernel;
+  malformed priors raise the same ``ValidationError`` on both paths;
 - ``adopt_kernel``'s safety rails reject double adoption and
   mismatched kernel configurations.
 """
@@ -37,8 +35,8 @@ from repro.core.reassign import (
 from repro.dag.activation import Activation
 from repro.dag.graph import Workflow
 from repro.experiments.environments import fleet_for
-from repro.sim.failures import BernoulliFailures
 from repro.sim.kernel import EpisodeKernel
+from repro.sim.vm import Vm
 from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
@@ -61,10 +59,10 @@ def random_dag(seed: int, n_min: int = 4, n_max: int = 10) -> Workflow:
     return wf
 
 
-def _spec(wf, seed, **params):
+def _spec(wf, seed, vms=None, **params):
     return BatchSpec(
         workflow=wf,
-        vms=fleet_for(16),
+        vms=fleet_for(16) if vms is None else vms,
         params=ReassignParams(episodes=params.pop("episodes", 3), **params),
         seed=seed,
     )
@@ -72,13 +70,21 @@ def _spec(wf, seed, **params):
 
 def _serial(spec: BatchSpec):
     return ReassignLearner(
-        spec.workflow,
-        spec.vms,
-        spec.params,
-        seed=spec.seed,
-        max_attempts=spec.max_attempts,
-        single_slot_learning=spec.single_slot_learning,
+        spec.workflow, spec.vms, spec.params, seed=spec.seed
     ).learn()
+
+
+def _count(monkeypatch, owner, name):
+    """Count calls to ``owner.name`` for the rest of the test."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 def _fp(result):
@@ -118,52 +124,40 @@ class TestBatchedVsSerial:
         for spec, got in zip(specs, batched):
             assert _fp(got) == _fp(_serial(spec))
 
-    @pytest.mark.parametrize("width", [1, 3])
-    def test_failures_and_retries_bitwise_identical(self, width):
-        # failures make the kernel draw, so every lane runs the fused
-        # general loop body (retries, failed attempts, stream resets)
-        wf = montage(15, seed=3)
-        failures = BernoulliFailures(0.05)
-        specs = [
-            BatchSpec(
-                workflow=wf,
-                vms=fleet_for(16),
-                params=ReassignParams(
-                    alpha=0.5, gamma=1.0, epsilon=0.1, episodes=6
-                ),
-                seed=11 + k,
-                failures=failures,
-                max_attempts=2,
-            )
-            for k in range(width)
-        ]
-        batched = learn_batch(specs, timing="simulated")
-        for spec, got in zip(specs, batched):
-            expected = ReassignLearner(
-                spec.workflow,
-                spec.vms,
-                spec.params,
-                seed=spec.seed,
-                failures=failures,
-                max_attempts=2,
-                clock=SimulatedLearningClock(),
-            ).learn()
-            assert got.to_json() == expected.to_json()
-
-    def test_ineligible_lanes_fall_back_and_still_match(self):
+    def test_ineligible_lanes_fall_back_and_still_match(self, monkeypatch):
         wf = random_dag(42, n_min=5, n_max=8)
+        # the 2xlarge boots for 30 s: the fused body has no boot events
+        booting = [
+            Vm(vm.id, replace(vm.type, boot_time=30.0))
+            if vm.type.name == "t2.2xlarge" else vm
+            for vm in fleet_for(16)
+        ]
         specs = [
             _spec(wf, 1),  # fast lane
             _spec(wf, 1, rule="sarsa"),
             _spec(wf, 1, rule="doubleq"),
             _spec(wf, 1, state_buckets=4),
+            _spec(wf, 1, vms=booting),
         ]
-        assert fast_lane_eligible(specs[0].params)
+
+        def eligible(spec):
+            learner = ReassignLearner(spec.workflow, spec.vms, spec.params)
+            return fast_lane_eligible(spec.params, learner.kernel)
+
+        assert eligible(specs[0])
         for spec in specs[1:]:
-            assert not fast_lane_eligible(spec.params)
+            assert not eligible(spec)
+            fused = _count(monkeypatch, lane, "_drive_lean")
+            reference = _count(monkeypatch, ReassignLearner, "learn")
+            got = learn_batch([spec])[0]
+            assert (len(fused), len(reference)) == (0, 1)
+            monkeypatch.undo()
+            assert _fp(got) == _fp(_serial(spec))
         batched = learn_batch(specs)
         for spec, got in zip(specs, batched):
             assert _fp(got) == _fp(_serial(spec))
+        # the boot delay is real: the booting lane learns another run
+        assert _fp(batched[4]) != _fp(batched[0])
 
     def test_simulated_timing_matches_serial_clock(self):
         wf = montage(25, seed=3)
@@ -201,35 +195,20 @@ def _priors(wf, vms, seed=77):
     return earlier.qtable_json, history
 
 
-def _warm_serial(spec: BatchSpec, **env):
+def _warm_serial(spec: BatchSpec):
     return ReassignLearner(
         spec.workflow,
         spec.vms,
         spec.params,
         seed=spec.seed,
-        max_attempts=spec.max_attempts,
         prior_qtable_json=spec.prior_qtable_json,
         prior_history=spec.prior_history,
         clock=SimulatedLearningClock(),
-        **env,
     ).learn()
 
 
 class TestWarmStarts:
     """``learn_batch`` with provenance priors vs the reference learner."""
-
-    @staticmethod
-    def _count(monkeypatch, owner, name):
-        """Count calls to ``owner.name`` for the rest of the test."""
-        calls = []
-        real = getattr(owner, name)
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, spy)
-        return calls
 
     @pytest.mark.parametrize(
         "priors, memory",
@@ -245,7 +224,7 @@ class TestWarmStarts:
             prior_qtable_json=None if priors == "history" else qjson,
             prior_history=None if priors == "qtable" else history,
         )
-        lean = self._count(monkeypatch, lane, "_drive_lean")
+        lean = _count(monkeypatch, lane, "_drive_lean")
         got = learn_batch([spec], timing="simulated")[0]
         assert len(lean) == 6
         assert got.to_json() == _warm_serial(spec).to_json()
@@ -275,22 +254,6 @@ class TestWarmStarts:
             == reward.global_index()
         )
 
-    def test_general_body_under_failures_matches_reference(self, monkeypatch):
-        wf = montage(15, seed=3)
-        failures = BernoulliFailures(0.05)
-        qjson, history = _priors(wf, fleet_for(16))
-        spec = BatchSpec(
-            workflow=wf, vms=fleet_for(16),
-            params=ReassignParams(episodes=6), seed=12,
-            failures=failures, max_attempts=2,
-            prior_qtable_json=qjson, prior_history=history,
-        )
-        general = self._count(monkeypatch, lane, "_drive_general")
-        got = learn_batch([spec], timing="simulated")[0]
-        assert len(general) == 6
-        expected = _warm_serial(spec, failures=failures)
-        assert got.to_json() == expected.to_json()
-
     def test_sarsa_fallback_lane_keeps_priors(self):
         wf = random_dag(42, n_min=5, n_max=8)
         qjson, history = _priors(wf, fleet_for(16))
@@ -299,7 +262,9 @@ class TestWarmStarts:
             params=ReassignParams(episodes=4, rule="sarsa"),
             seed=8, prior_qtable_json=qjson, prior_history=history,
         )
-        assert not fast_lane_eligible(spec.params)
+        assert not fast_lane_eligible(
+            spec.params, ReassignLearner(wf, spec.vms).kernel
+        )
         got = learn_batch([spec], timing="simulated")[0]
         assert got.to_json() == _warm_serial(spec).to_json()
         cold = learn_batch(
@@ -324,7 +289,7 @@ class TestWarmStarts:
             )
             for k in range(width)
         ]
-        builds = self._count(monkeypatch, EpisodeKernel, "__init__")
+        builds = _count(monkeypatch, EpisodeKernel, "__init__")
         batched = learn_batch(specs, timing="simulated")
         assert len(builds) == 1
         for spec, got in zip(specs, batched):
